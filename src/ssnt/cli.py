@@ -56,10 +56,20 @@ def _parse_dims(text):
     return tuple(parts)
 
 
+def _parse_layers(text):
+    parts = text.split(",")
+    if len(parts) != 2 or not all(p.strip().isdecimal() and int(p) > 0 for p in parts):
+        raise argparse.ArgumentTypeError(
+            f"expected --layers P,Q with two positive integers, got {text!r}"
+        )
+    return int(parts[0]), int(parts[1])
+
+
 def _add_solver_flags(sub):
     sub.add_argument("--tv", action="store_true", help="use the TV-regularized solver")
     sub.add_argument("--linear", action="store_true", help="drop the nonlinearity")
-    sub.add_argument("--layers", default=None, metavar="P,Q", help="layer counts, e.g. 2,2")
+    sub.add_argument("--layers", type=_parse_layers, default=None, metavar="P,Q",
+                     help="layer counts, e.g. 2,2")
     sub.add_argument("--lambda", dest="lam", type=float, default=None, help="low-rank weight")
     sub.add_argument("--tau", type=float, default=None, help="TV weight")
     sub.add_argument("--beta", type=float, default=None, help="ADMM penalty")
@@ -97,9 +107,7 @@ def _config_from_args(args, kind, dims):
     if args.slope is not None:
         over["slope"] = args.slope
     if args.layers is not None:
-        p, q = (int(v) for v in args.layers.split(","))
-        over["p"] = p
-        over["q"] = q
+        over["p"], over["q"] = args.layers
     if args.linear:
         over["activation"] = "identity"
     return replace(cfg, **over)
@@ -127,8 +135,10 @@ def _run_solver(kind, model, args, outputs):
         y, _ = forward_f(x0, params)
         write_tensor(args.save_transform, y)
         outputs["transform"] = args.save_transform
-    if args.diagnostics and history:
-        export_diagnostics(history, args.diagnostics)
+    # An empty history (--tmax 0) writes no CSV, so the manifest names none.
+    diagnostics = args.diagnostics if history else None
+    if diagnostics:
+        export_diagnostics(history, diagnostics)
 
     metrics = None
     if args.ref:
@@ -144,7 +154,7 @@ def _run_solver(kind, model, args, outputs):
             started=started,
             finished=_now(),
             outputs=dict(outputs),
-            diagnostics_csv=args.diagnostics,
+            diagnostics_csv=diagnostics,
             metrics=metrics,
         ).save(args.manifest)
     return EXIT_OK
@@ -158,6 +168,8 @@ def _cmd_synth(args):
 
 
 def _cmd_degrade(args):
+    if args.kind != "bs" and args.mask is None:
+        raise ValueError(f"{args.kind} degradation needs --mask to store the mask")
     x = read_tensor(args.input)
     spec = SamplingSpec(
         sr=args.sr, noise_sr=args.noise_sr, gauss_sigma=args.sigma, seed=args.seed
@@ -168,8 +180,6 @@ def _cmd_degrade(args):
     else:
         write_tensor(args.obs, model.measurement)
     if model.mask is not None:
-        if args.mask is None:
-            raise ValueError(f"{args.kind} degradation needs --mask to store the mask")
         write_tensor(args.mask, model.mask)
     return EXIT_OK
 
@@ -230,6 +240,9 @@ def _cmd_sci(args):
 def _cmd_metrics(args):
     x = read_tensor(args.x)
     ref = read_tensor(args.ref)
+    for path, t in ((args.x, x), (args.ref, ref)):
+        if not np.isfinite(t).all():
+            raise ValueError(f"{path} holds non-finite values (NaN or inf)")
     peak = float(np.abs(ref).max()) if args.peak_from_ref else args.peak
     rep = metric_report(x, ref, peak=peak)
     print(f"psnr={rep.psnr!r} ssim={rep.ssim!r} sam={rep.sam!r}")

@@ -84,7 +84,9 @@ def ssim(x, ref, peak=1.0):
 def sam(x, ref):
     """Spectral angle mapper: mean angle between matching mode-3 tubes.
 
-    Tube pairs where either side has zero norm contribute angle 0.
+    Tube pairs where either side has zero norm contribute angle 0.  A
+    tube with a non-finite entry on either side has no angle, so the
+    mean is NaN.
     """
     x = np.asarray(x)
     ref = np.asarray(ref)
@@ -93,8 +95,9 @@ def sam(x, ref):
     dot = (x * ref).sum(axis=2)
     nx = np.linalg.norm(x, axis=2)
     nr = np.linalg.norm(ref, axis=2)
-    ok = (nx > 0) & (nr > 0) & ~(x == ref).all(axis=2)
-    cos = np.ones_like(dot)
+    finite = np.isfinite(x).all(axis=2) & np.isfinite(ref).all(axis=2)
+    ok = finite & (nx > 0) & (nr > 0) & ~(x == ref).all(axis=2)
+    cos = np.where(finite, 1.0, np.nan)
     cos[ok] = np.clip(dot[ok] / (nx[ok] * nr[ok]), -1.0, 1.0)
     return float(np.mean(np.arccos(cos)))
 

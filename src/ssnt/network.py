@@ -13,13 +13,24 @@ back-propagated through its subgradient ``U_r @ V_r.T`` built from the
 singular vectors of each slice (singular values below
 ``EPS_RANK * sigma_max`` truncated); the truncated factors are treated
 as constants of the step.
+
+The hot path holds tensors slice-major (:class:`SliceStack`): a layer
+is one ``W @ X`` on a ``(channels, n1*n2)`` matrix and the transformed
+slices form one contiguous ``(width, n1, n2)`` stack for the batched
+SVD.  The SVD stack runs in chunks on ``max(1, cpus // blas_threads)``
+threads, where ``blas_threads`` is what BLAS reads from
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` (all usable cpus when
+neither is set), so BLAS's own threads are never oversubscribed.
+Results do not depend on the thread count.
 """
 
+import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import EPS_RANK, diff_p, diff_p_adj, mode3_product, unfold3
+from .tensors import EPS_RANK, diff_p, diff_p_adj, mode3_product
 from .problems import fidelity
 
 
@@ -41,15 +52,17 @@ class Activation:
             return z
         if self.kind == "relu":
             return np.maximum(z, 0.0)
-        return np.where(z > 0.0, z, self.slope * z)
+        # Equals where(z > 0, z, slope * z) because 0 < slope < 1.
+        return np.maximum(z, self.slope * z)
 
-    def grad(self, z):
-        """Derivative at the pre-activation ``z`` (subgradient 0 at relu kinks)."""
+    def backprop(self, z, g):
+        """Cotangent at the pre-activation ``z`` from the cotangent ``g``
+        at the output (subgradient 0 at relu kinks)."""
         if self.kind == "identity":
-            return np.ones_like(z)
+            return g
         if self.kind == "relu":
-            return (z > 0.0).astype(z.dtype)
-        return np.where(z > 0.0, 1.0, self.slope)
+            return g * (z > 0.0)
+        return np.where(z > 0.0, g, self.slope * g)
 
 
 @dataclass(frozen=True)
@@ -155,62 +168,182 @@ def nofc3_forward(t, w, act):
     return act.apply(mode3_product(t, w))
 
 
-def _forward_stack(t, layers):
-    """Run a layer stack, caching (input, pre-activation) per layer."""
+@dataclass(frozen=True)
+class SliceStack:
+    """A tensor held slice-major: ``data[k]`` is frontal slice ``k``
+    flattened row-major, so ``data`` is ``(n3, n1*n2)`` and a mode-3
+    product is the single matmul ``W @ data``."""
+
+    data: np.ndarray
+    n1: int
+    n2: int
+
+    @classmethod
+    def from_tensor(cls, t):
+        t = np.asarray(t)
+        if t.ndim != 3:
+            raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
+        n1, n2, n3 = t.shape
+        return cls(np.ascontiguousarray(np.moveaxis(t, 2, 0)).reshape(n3, n1 * n2), n1, n2)
+
+    @property
+    def channels(self):
+        return self.data.shape[0]
+
+    def like(self, data):
+        """A stack of the same spatial size holding ``data``."""
+        return SliceStack(data, self.n1, self.n2)
+
+    def slices(self):
+        """The ``(n3, n1, n2)`` view of the frontal slices."""
+        return self.data.reshape(-1, self.n1, self.n2)
+
+    def to_tensor(self):
+        """The ``(n1, n2, n3)`` tensor, C-contiguous."""
+        return np.ascontiguousarray(self.slices().transpose(1, 2, 0))
+
+
+def _as_stack(t):
+    return t if isinstance(t, SliceStack) else SliceStack.from_tensor(t)
+
+
+def _run_stack(t, layers):
+    """Run a layer stack on a tensor or a :class:`SliceStack`, caching
+    (input, pre-activation) per layer; results come back in the input's form."""
+    xs = _as_stack(t)
+    if layers and xs.channels != layers[0].weight.shape[1]:
+        raise ValueError("input third-mode length does not match the first layer")
     tape = []
-    x = t
+    x = xs.data
     for lay in layers:
-        z = mode3_product(x, lay.weight)
+        z = lay.weight @ x
         tape.append((x, z))
         x = lay.activation.apply(z)
-    return x, tape
+    if isinstance(t, SliceStack):
+        return xs.like(x), tape
+    tape = [(xs.like(a).to_tensor(), xs.like(z).to_tensor()) for a, z in tape]
+    return xs.like(x).to_tensor(), tape
 
 
 def forward_f(t, params):
     """Apply the forward transform; returns the transformed tensor and
-    the tape of cached pre-activations needed for reverse mode."""
-    if params.f_layers and t.shape[2] != params.f_layers[0].weight.shape[1]:
-        raise ValueError("input third-mode length does not match the first layer")
-    return _forward_stack(t, params.f_layers)
+    the tape of cached (input, pre-activation) pairs needed for reverse
+    mode.  ``t`` is an ``(n1, n2, n3)`` tensor or a :class:`SliceStack`;
+    the result and the tape come back in the same form."""
+    return _run_stack(t, params.f_layers)
 
 
 def forward_g(t, params):
     """Apply the inverse-role transform (same contract as :func:`forward_f`)."""
-    if params.g_layers and t.shape[2] != params.g_layers[0].weight.shape[1]:
-        raise ValueError("input third-mode length does not match the first layer")
-    return _forward_stack(t, params.g_layers)
+    return _run_stack(t, params.g_layers)
 
 
-def _backward_stack(layers, tape, cotangent):
-    """Reverse through a stack.  Returns per-layer weight gradients and
-    the cotangent with respect to the stack input."""
+def _backward_stack(layers, tape, cotangent, input_grad=True):
+    """Reverse through a slice-major stack, consuming its tape.  Returns
+    per-layer weight gradients and the cotangent with respect to the
+    stack input (``None`` when ``input_grad`` is false)."""
     grads = [None] * len(layers)
     g = cotangent
     for i in range(len(layers) - 1, -1, -1):
-        x_in, z = tape[i]
-        dz = g * layers[i].activation.grad(z)
-        grads[i] = unfold3(dz) @ unfold3(x_in).T
-        g = mode3_product(dz, layers[i].weight.T)
+        x_in, z = tape.pop()  # frees each layer's cache once it is used
+        dz = layers[i].activation.backprop(z, g)
+        grads[i] = dz @ x_in.T
+        g = layers[i].weight.T @ dz if i or input_grad else None
     return grads, g
 
 
-def nuclear_subgrad(m, eps=EPS_RANK):
-    """Subgradient ``U_r @ V_r.T`` of the nuclear norm at ``m``.
+def _lowrank_workers():
+    """``max(1, cpus // blas_threads)``; see the module docstring."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    blas = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        # BLAS takes the leading integer and skips unset or non-positive values.
+        m = re.match(r"\s*\+?(\d+)", os.environ.get(name, ""))
+        if m and int(m.group(1)) > 0:
+            blas = int(m.group(1))
+            break
+    return max(1, cpus // blas)
+
+
+_LOWRANK_WORKERS = _lowrank_workers()
+# Matrix entries per SVD chunk (512 KB of float64), which bounds the
+# U/Vh temporaries each worker holds.
+_CHUNK_ENTRIES = 1 << 16
+# Worker pools live for the process: starting one per call costs about
+# 0.4 ms, a few percent of a small iteration.
+_EXECUTORS = {}
+if hasattr(os, "register_at_fork"):
+    # A forked child has none of its parent's worker threads.
+    os.register_at_fork(after_in_child=_EXECUTORS.clear)
+
+
+def _subgrad_chunk(stack, sub, norms, eps, lo, hi):
+    """Fill ``sub[lo:hi]`` and ``norms[lo:hi]`` for ``stack[lo:hi]``.  A
+    matrix that keeps all its singular vectors takes ``u @ vh``; any
+    other is recomputed from its kept vectors alone, or set to zero."""
+    u, s, vh = np.linalg.svd(stack[lo:hi], full_matrices=False)
+    norms[lo:hi] = s.sum(axis=-1)
+    np.matmul(u, vh, out=sub[lo:hi])
+    top = s[:, 0]
+    keep = s > eps * top[:, None]
+    for k in np.flatnonzero(~keep.all(axis=1) | (top <= 0.0)):
+        if top[k] <= 0.0:
+            sub[lo + k] = 0.0
+        else:
+            sub[lo + k] = u[k][:, keep[k]] @ vh[k][keep[k], :]
+
+
+def _lowrank_chunks(stack, eps, workers):
+    """Subgradients and nuclear norms of every matrix of a ``(K, r, c)``
+    stack, split into contiguous chunks run on ``workers`` threads.
+    Each matrix is computed the same way whatever the chunking, so the
+    results do not depend on ``workers``."""
+    k = stack.shape[0]
+    sub = np.empty(stack.shape, dtype=np.result_type(stack.dtype, np.float64))
+    norms = np.empty(k)
+    per_chunk = max(1, _CHUNK_ENTRIES // (stack.shape[1] * stack.shape[2]))
+    n = min(k, max(-(-k // per_chunk), workers))
+    edges = [k * i // n for i in range(n + 1)]
+    bounds = list(zip(edges[:-1], edges[1:]))
+    if workers == 1 or n == 1:
+        for lo, hi in bounds:
+            _subgrad_chunk(stack, sub, norms, eps, lo, hi)
+        return sub, norms
+    pool = _EXECUTORS.get(workers)
+    if pool is None:
+        from concurrent.futures import ThreadPoolExecutor  # only multi-core runs pay its import
+
+        pool = _EXECUTORS[workers] = ThreadPoolExecutor(workers, thread_name_prefix="ssnt-svd")
+    for job in [pool.submit(_subgrad_chunk, stack, sub, norms, eps, lo, hi) for lo, hi in bounds]:
+        job.result()
+    return sub, norms
+
+
+def nuclear_subgrad(m, eps=EPS_RANK, return_norms=False):
+    """Subgradient ``U_r @ V_r.T`` of the nuclear norm at ``m``, or at
+    every matrix of a stack ``m[..., :, :]``.
 
     ``U_r, V_r`` keep the singular vectors whose singular values exceed
     ``eps`` times the largest one; a zero matrix maps to a zero matrix.
+    With ``return_norms`` the nuclear norms (shape ``m.shape[:-2]``) are
+    returned too.
     """
-    u, s, vh = np.linalg.svd(np.asarray(m), full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros_like(np.asarray(m))
-    keep = s > eps * s[0]
-    return u[:, keep] @ vh[keep, :]
+    m = np.asarray(m)
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
+    if m.size == 0:
+        sub, norms = np.zeros(m.shape, np.result_type(m.dtype, np.float64)), np.zeros(m.shape[:-2])
+    else:
+        sub, norms = _lowrank_chunks(m.reshape((-1,) + m.shape[-2:]), eps, _LOWRANK_WORKERS)
+        sub, norms = sub.reshape(m.shape), norms.reshape(m.shape[:-2])
+    return (sub, norms) if return_norms else sub
 
 
 def loss_and_grad(obs, params, model, cfg, admm=None):
     """Loss and exact reverse-mode weight gradients at ``params``.
 
-    ``obs`` is the (already initialized) network input tensor; the
+    ``obs`` is the (already initialized) network input, a tensor or a
+    :class:`SliceStack` (solvers convert it once per solve); the
     fidelity term compares the reconstruction ``g(f(obs))`` against the
     measurement held by ``model``.  With an ADMM state the quadratic
     penalty ``beta/2 * sum_p ||diff_p(x) - V_p + L_p/beta||_F^2`` is
@@ -219,22 +352,20 @@ def loss_and_grad(obs, params, model, cfg, admm=None):
     Returns ``(LossBreakdown, grads)`` where ``grads`` aligns with
     ``params.weights()``.  A non-finite loss aborts with ``FloatingPointError``.
     """
-    y, tape_f = forward_f(obs, params)
+    xs = _as_stack(obs)
+    y, tape_f = forward_f(xs, params)
     x, tape_g = forward_g(y, params)
-    if not (np.isfinite(y).all() and np.isfinite(x).all()):
+    x = x.to_tensor()
+    if not (np.isfinite(y.data).all() and np.isfinite(x).all()):
         raise FloatingPointError("non-finite network output; check weights and input")
 
     lam = cfg.lam
     l1 = 0.0
-    g_y_lowrank = np.zeros_like(y)
+    sub = None
     if lam > 0.0:
-        for k in range(y.shape[2]):
-            slab = y[:, :, k]
-            u, s, vh = np.linalg.svd(slab, full_matrices=False)
-            l1 += lam * float(s.sum())
-            if s.size and s[0] > 0.0:
-                keep = s > EPS_RANK * s[0]
-                g_y_lowrank[:, :, k] = lam * (u[:, keep] @ vh[keep, :])
+        sub, norms = nuclear_subgrad(y.slices(), return_norms=True)
+        for v in norms.tolist():  # summed in slice order
+            l1 += lam * v
 
     l2, g_x = fidelity(x, model)
 
@@ -252,13 +383,20 @@ def loss_and_grad(obs, params, model, cfg, admm=None):
             f"non-finite loss: lowrank={l1!r} fidelity={l2!r} tv={tv!r}"
         )
 
+    del x, y  # dropped before the backward pass to lower peak memory
+    g_x = SliceStack.from_tensor(g_x).data
     grads_g, g_y = _backward_stack(params.g_layers, tape_g, g_x)
-    grads_f, _ = _backward_stack(params.f_layers, tape_f, g_y + g_y_lowrank)
+    del g_x
+    if sub is not None:
+        sub *= lam
+        g_y += sub.reshape(g_y.shape)
+    grads_f, _ = _backward_stack(params.f_layers, tape_f, g_y, input_grad=False)
     return loss, grads_f + grads_g
 
 
 def reconstruct(obs, params):
-    """Reconstruction ``g(f(obs))`` without any tape bookkeeping."""
-    y, _ = forward_f(obs, params)
+    """Reconstruction ``g(f(obs))`` for a tensor or a :class:`SliceStack`,
+    returned in the same form."""
+    y, _ = forward_f(_as_stack(obs), params)
     x, _ = forward_g(y, params)
-    return x
+    return x if isinstance(obs, SliceStack) else x.to_tensor()

@@ -20,6 +20,7 @@ import numpy as np
 from .network import (
     Activation,
     LossBreakdown,
+    SliceStack,
     default_specs,
     init_weights,
     loss_and_grad,
@@ -187,11 +188,12 @@ def solve_ssnt(model, cfg, x0=None):
     """
     if x0 is None:
         x0 = init_observation(model)
-    params = _build_network(cfg, x0.shape[2])
+    xs = SliceStack.from_tensor(x0)
+    params = _build_network(cfg, xs.channels)
     state = AdamState.zeros(params.weights())
     history = []
     for it in range(cfg.t_max):
-        loss, grads = loss_and_grad(x0, params, model, cfg)
+        loss, grads = loss_and_grad(xs, params, model, cfg)
         old = params.weights()
         new, state = adam_step(old, grads, state, cfg)
         params = params.with_weights(new)
@@ -200,7 +202,7 @@ def solve_ssnt(model, cfg, x0=None):
             break
     if history and history[-1].loss.total > history[0].loss.total:
         warnings.warn("loss increased over the run", RuntimeWarning)
-    x = assemble(reconstruct(x0, params), model).x
+    x = assemble(reconstruct(xs, params).to_tensor(), model).x
     return x, params, history
 
 
@@ -233,7 +235,8 @@ def solve_ssnt_tv(model, cfg, x0=None, admm0=None):
     """
     if x0 is None:
         x0 = init_observation(model)
-    params = _build_network(cfg, x0.shape[2])
+    xs = SliceStack.from_tensor(x0)
+    params = _build_network(cfg, xs.channels)
     state = AdamState.zeros(params.weights())
     admm = admm0 if admm0 is not None else AdmmState(
         v1=diff_p(x0, 1),
@@ -246,11 +249,11 @@ def solve_ssnt_tv(model, cfg, x0=None, admm0=None):
         old = params.weights()
         loss = None
         for _ in range(cfg.inner_steps):
-            loss, grads = loss_and_grad(x0, params, model, cfg, admm)
+            loss, grads = loss_and_grad(xs, params, model, cfg, admm)
             new, state = adam_step(params.weights(), grads, state, cfg)
             params = params.with_weights(new)
         rel_w = _rel_change(params.weights(), old)
-        x = reconstruct(x0, params)
+        x = reconstruct(xs, params).to_tensor()
         v1, v2 = v_update(x, admm, cfg)
         rel_v = _rel_change([v1, v2], [admm.v1, admm.v2])
         admm.v1, admm.v2 = v1, v2
@@ -261,5 +264,5 @@ def solve_ssnt_tv(model, cfg, x0=None, admm0=None):
             break
     if history and history[-1].loss.total > history[0].loss.total:
         warnings.warn("loss increased over the run", RuntimeWarning)
-    x = assemble(reconstruct(x0, params), model).x
+    x = assemble(reconstruct(xs, params).to_tensor(), model).x
     return x, params, history

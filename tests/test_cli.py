@@ -1,6 +1,8 @@
 """Command-line surface: subcommand flows, reproducibility of outputs
 and the exit-code table."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -226,3 +228,55 @@ class TestExitCodes:
         run("synth", "--dims", "6,6,3", "--out", other)
         assert run("metrics", truth_file, other) == 5
         capsys.readouterr()
+
+
+class TestFailEarly:
+    @pytest.mark.parametrize("kind", ["tc", "rtc", "sci"])
+    def test_degrade_without_mask_writes_nothing(self, tmp_path, truth_file, kind, capsys):
+        obs = tmp_path / "obs.ssnt"
+        code = run("degrade", "--kind", kind, "--input", truth_file, "--sr", "0.5", "--obs", obs)
+        assert code == 5
+        assert f"{kind} degradation needs --mask to store the mask" in capsys.readouterr().err
+        assert not obs.exists()
+
+    @pytest.mark.parametrize("layers", ["2", "a,b", "0,2", "2,0", "1,2,3", ""])
+    def test_bad_layers_is_usage(self, tmp_path, truth_file, layers, capsys):
+        out = tmp_path / "rec.ssnt"
+        code = run("complete", "--input", truth_file, "--sr", "0.5", "--out", out,
+                   "--tmax", "1", "--layers", layers)
+        assert code == 2
+        assert "--layers P,Q" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_layers_reach_the_config(self, tmp_path, truth_file):
+        manifest = tmp_path / "run.json"
+        assert run("complete", "--input", truth_file, "--sr", "0.5", "--out", tmp_path / "rec.ssnt",
+                   "--tmax", "1", "--layers", "1,3", "--manifest", manifest) == 0
+        m = RunManifest.load(manifest)
+        assert (m.config["p"], m.config["q"]) == (1, 3)
+
+    @pytest.mark.parametrize("tmax", [0, 2])
+    def test_manifest_names_only_written_files(self, tmp_path, truth_file, tmax):
+        manifest = tmp_path / "m.json"
+        diag = tmp_path / "d.csv"
+        assert run("complete", "--input", truth_file, "--sr", "0.5", "--out", tmp_path / "rec.ssnt",
+                   "--tmax", tmax, "--diagnostics", diag, "--manifest", manifest) == 0
+        m = RunManifest.load(manifest)
+        named = list(m.outputs.values()) + [m.diagnostics_csv] * (m.diagnostics_csv is not None)
+        assert named and all(Path(p).exists() for p in named)
+        assert (m.diagnostics_csv is not None) == (tmax > 0) == diag.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_metrics_rejects_nonfinite(self, tmp_path, truth_file, bad, which, capsys):
+        t = read_tensor(truth_file)
+        t[3, 2, 1] = bad
+        bad_file = tmp_path / "bad.ssnt"
+        write_tensor(bad_file, t)
+        report = tmp_path / "report.csv"
+        files = [bad_file, truth_file] if which == 0 else [truth_file, bad_file]
+        assert run("metrics", *files, "--out", report) == 5
+        captured = capsys.readouterr()
+        assert "kind=config" in captured.err and str(bad_file) in captured.err
+        assert captured.out == ""
+        assert not report.exists()

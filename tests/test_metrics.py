@@ -84,6 +84,13 @@ class TestSam:
         x = np.random.default_rng(7).uniform(0.1, 1, (4, 4, 5))
         assert sam(x, x) == pytest.approx(0.0, abs=1e-7)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_tube_is_not_a_match(self, bad):
+        x = np.random.default_rng(8).uniform(0.1, 1, (3, 3, 4))
+        y = x.copy()
+        y[1, 2, 0] = bad
+        assert np.isnan(sam(x, y)) and np.isnan(sam(y, x)) and np.isnan(sam(y, y))
+
 
 class TestMetricReport:
     def test_bundles_and_per_slice(self):

@@ -2,9 +2,13 @@
 subgradient and full reverse-mode gradients, all checked against finite
 differences or layer-by-layer oracles."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
+from ssnt import network
 from ssnt.network import (
     Activation,
     Layer,
@@ -21,7 +25,7 @@ from ssnt.network import (
 )
 from ssnt.problems import ObservationModel, SamplingSpec, degrade
 from ssnt.solvers import SolverConfig
-from ssnt.tensors import mode3_product, nuclear_norm
+from ssnt.tensors import EPS_RANK, mode3_product, nuclear_norm
 
 LEAKY = Activation("leaky_relu", 0.01)
 IDENT = Activation("identity")
@@ -257,3 +261,114 @@ class TestLossAndGrad:
         y, _ = forward_f(obs, params)
         x, _ = forward_g(y, params)
         assert np.array_equal(reconstruct(obs, params), x)
+
+
+class TestLowrankStep:
+    """The batched, chunked low-rank step against a per-slice loop."""
+
+    @staticmethod
+    def stack():
+        rng = np.random.default_rng(21)
+        st = rng.standard_normal((9, 7, 6))
+        st[2] = rng.standard_normal((7, 2)) @ rng.standard_normal((2, 6))  # rank 2
+        st[5] = 0.0
+        return st
+
+    def test_norms_match_slice_loop_bitwise(self):
+        st = self.stack()
+        _, norms = nuclear_subgrad(st, return_norms=True)
+        assert norms.shape == (9,)
+        for k in range(len(st)):
+            assert norms[k] == np.linalg.svd(st[k], full_matrices=False)[1].sum()
+
+    def test_subgrad_matches_slice_loop(self):
+        """Truncation at EPS_RANK * sigma_max per slice, including a
+        rank-deficient and an all-zero slice."""
+        st = self.stack()
+        sub = nuclear_subgrad(st)
+        for k in range(len(st)):
+            u, s, vh = np.linalg.svd(st[k], full_matrices=False)
+            keep = s > EPS_RANK * s[0]
+            expect = np.zeros_like(st[k]) if s[0] <= 0.0 else u[:, keep] @ vh[keep, :]
+            assert np.array_equal(sub[k], expect)
+            assert np.array_equal(nuclear_subgrad(st[k]), expect)
+        assert np.linalg.matrix_rank(sub[2]) == 2
+        assert not sub[5].any()
+
+    def test_loss_lowrank_matches_slice_loop_bitwise(self):
+        obs, params, model, cfg = tc_setup((6, 5, 4), 9, seed=21)
+        loss, _ = loss_and_grad(obs, params, model, cfg)
+        y, _ = forward_f(obs, params)
+        expect = 0.0
+        for k in range(y.shape[2]):
+            expect += cfg.lam * float(np.linalg.svd(y[:, :, k], full_matrices=False)[1].sum())
+        assert loss.l1_lowrank == expect
+
+    def test_chunks_and_workers_do_not_change_results(self, monkeypatch):
+        """Chunks write disjoint parts of shared buffers; more workers than
+        cores and a short switch interval must not lose or mix a write."""
+        st = np.random.default_rng(22).standard_normal((13, 40, 30))
+        st[4] = 0.0
+        monkeypatch.setattr(network, "_CHUNK_ENTRIES", 40 * 30)
+        sub1, norms1 = network._lowrank_chunks(st, EPS_RANK, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (2, 8):
+                sub, norms = network._lowrank_chunks(st, EPS_RANK, workers)
+                assert sub.tobytes() == sub1.tobytes()
+                assert norms.tobytes() == norms1.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        whole, norms = nuclear_subgrad(st, return_norms=True)
+        assert whole.tobytes() == sub1.tobytes() and norms.tobytes() == norms1.tobytes()
+
+    def test_loss_and_grad_same_on_one_or_two_workers(self, monkeypatch):
+        obs, params, model, cfg = tc_setup((20, 18, 5), 10, seed=23)
+        monkeypatch.setattr(network, "_CHUNK_ENTRIES", 2 * 20 * 18)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(network, "_LOWRANK_WORKERS", workers)
+            runs.append(loss_and_grad(obs, params, model, cfg))
+        (loss1, grads1), (loss2, grads2) = runs
+        assert loss1 == loss2
+        assert [g.tobytes() for g in grads1] == [g.tobytes() for g in grads2]
+
+    @pytest.mark.parametrize("env, expect", [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "16"}, 1),
+        ({"OMP_NUM_THREADS": "x"}, 1),
+    ])
+    def test_worker_rule(self, monkeypatch, env, expect):
+        """max(1, cpus // blas_threads) with the BLAS thread count read
+        from the environment as BLAS reads it."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert network._lowrank_workers() == expect
+
+
+class TestSliceStack:
+    def test_roundtrip_and_layout(self):
+        t = np.random.default_rng(24).standard_normal((3, 4, 5))
+        xs = network.SliceStack.from_tensor(t)
+        assert xs.data.shape == (5, 12) and xs.data.flags.c_contiguous
+        assert np.array_equal(xs.slices()[2], t[:, :, 2])
+        assert np.array_equal(xs.to_tensor(), t)
+
+    def test_forward_forms_agree(self):
+        obs, params, _, _ = tc_setup((3, 4, 5), 6, seed=25)
+        xs = network.SliceStack.from_tensor(obs)
+        y, tape = forward_f(obs, params)
+        ys, tape_s = forward_f(xs, params)
+        assert np.array_equal(ys.to_tensor(), y)
+        for (a, z), (a_s, z_s) in zip(tape, tape_s):
+            assert np.array_equal(xs.like(a_s).to_tensor(), a)
+            assert np.array_equal(xs.like(z_s).to_tensor(), z)
+        assert np.array_equal(reconstruct(xs, params).to_tensor(), reconstruct(obs, params))

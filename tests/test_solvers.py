@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ssnt import network
 from ssnt.network import Activation, Layer, NetworkParams, loss_and_grad, reconstruct
 from ssnt.problems import SamplingSpec, degrade, init_observation, synth_low_tubal_rank
 from ssnt.solvers import (
@@ -285,6 +286,23 @@ class TestSolveSsntTv:
             assert np.array_equal(a, b)
         assert np.array_equal(xa, xb)
         assert all(d.loss.tv_penalty == 0.0 for d in hb)
+
+    def test_outputs_same_on_one_or_two_lowrank_workers(self, monkeypatch):
+        """The chunked low-rank step gives byte-identical solves whatever
+        its thread count."""
+        truth = synth_low_tubal_rank((16, 14, 6), 2, seed=11)
+        model = degrade(truth, "rtc", SamplingSpec(sr=0.6, noise_sr=0.1, seed=12))
+        cfg = SolverConfig(lam=0.05, tau=0.05, beta=1.0, t_max=8, width=12, seed=13)
+        monkeypatch.setattr(network, "_CHUNK_ENTRIES", 3 * 16 * 14)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(network, "_LOWRANK_WORKERS", workers)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                x, params, history = solve_ssnt_tv(model, cfg)
+            runs.append((x.tobytes(), [w.tobytes() for w in params.weights()],
+                         [(d.rel_err_weights, d.rel_err_v, d.loss.total) for d in history]))
+        assert runs[0] == runs[1]
 
     def test_diagnostics_nonnegative_full_length(self):
         truth = synth_low_tubal_rank((6, 6, 4), 2, seed=8)
