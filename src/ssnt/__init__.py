@@ -48,10 +48,7 @@ from .tensors import (
     diff_p,
     diff_p_adj,
     fold3,
-    fro_norm,
     identity_tensor,
-    idft_mode3,
-    l1_norm,
     mode3_product,
     nuclear_norm,
     soft_threshold,

@@ -32,6 +32,7 @@ from .network import forward_f
 from .problems import (
     ObservationModel,
     SamplingSpec,
+    assemble,
     degrade,
     init_observation,
     synth_low_tubal_rank,
@@ -73,8 +74,9 @@ def _add_solver_flags(sub):
     sub.add_argument("--lambda", dest="lam", type=float, default=None, help="low-rank weight")
     sub.add_argument("--tau", type=float, default=None, help="TV weight")
     sub.add_argument("--beta", type=float, default=None, help="ADMM penalty")
-    sub.add_argument("--tmax", type=int, default=None, help="outer iterations")
-    sub.add_argument("--inner-steps", type=int, default=None)
+    sub.add_argument("--tmax", dest="t_max", type=int, default=None, help="outer iterations")
+    sub.add_argument("--inner-steps", type=int, default=None,
+                     help="Adam steps per outer iteration (--tv only)")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--lr", type=float, default=None, help="Adam learning rate")
     sub.add_argument("--width", type=int, default=None, help="transform interface width")
@@ -87,30 +89,18 @@ def _add_solver_flags(sub):
     sub.add_argument("--peak", type=float, default=1.0, help="PSNR/SSIM dynamic range")
 
 
+# SolverConfig fields that a solver flag of the same dest overrides when given.
+_CONFIG_FLAGS = ("lam", "tau", "beta", "t_max", "inner_steps", "lr", "width", "slope")
+
+
 def _config_from_args(args, kind, dims):
-    cfg = default_config(kind, dims)
-    over = {"seed": args.seed}
-    if args.lam is not None:
-        over["lam"] = args.lam
-    if args.tau is not None:
-        over["tau"] = args.tau
-    if args.beta is not None:
-        over["beta"] = args.beta
-    if args.tmax is not None:
-        over["t_max"] = args.tmax
-    if args.inner_steps is not None:
-        over["inner_steps"] = args.inner_steps
-    if args.lr is not None:
-        over["lr"] = args.lr
-    if args.width is not None:
-        over["width"] = args.width
-    if args.slope is not None:
-        over["slope"] = args.slope
+    over = {name: getattr(args, name) for name in _CONFIG_FLAGS if getattr(args, name) is not None}
+    over["seed"] = args.seed
     if args.layers is not None:
         over["p"], over["q"] = args.layers
     if args.linear:
         over["activation"] = "identity"
-    return replace(cfg, **over)
+    return replace(default_config(kind, dims), **over)
 
 
 def _run_solver(kind, model, args, outputs):
@@ -125,12 +115,10 @@ def _run_solver(kind, model, args, outputs):
     solver = solve_ssnt_tv if args.tv else solve_ssnt
     x, params, history = solver(model, cfg, x0=x0)
 
-    write_tensor(outputs["x"], x)
+    result = assemble(x, model)
+    write_tensor(outputs["x"], result.x)
     if "sparse" in outputs:
-        sparse = model.measurement - x
-        if model.kind == "rtc":
-            sparse = model.mask * sparse
-        write_tensor(outputs["sparse"], sparse)
+        write_tensor(outputs["sparse"], result.sparse)
     if args.save_transform:
         y, _ = forward_f(x0, params)
         write_tensor(args.save_transform, y)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .tensors import from_half_spectrum, half_spectrum_svd
+
 
 @dataclass
 class MetricReport:
@@ -148,16 +150,9 @@ def _tsvt(t, thr):
     Conjugate-symmetric slices share one SVD so the result is exactly
     real for real input.
     """
-    n1, n2, n3 = t.shape
-    that = np.fft.fft(t, axis=2)
-    out = np.zeros_like(that)
-    for k in range(n3 // 2 + 1):
-        u, s, vh = np.linalg.svd(that[:, :, k], full_matrices=False)
-        s = np.maximum(s - thr, 0.0)
-        out[:, :, k] = (u * s) @ vh
-    for k in range(n3 // 2 + 1, n3):
-        out[:, :, k] = out[:, :, n3 - k].conj()
-    return np.fft.ifft(out, axis=2).real
+    u, s, vh = half_spectrum_svd(t)
+    s = np.maximum(s - thr, 0.0)
+    return from_half_spectrum((u * s[:, None, :]) @ vh, t.shape[2])
 
 
 def tnn_baseline_complete(model, rho=1e-2, iters=200):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import EPS_RANK, diff_p, diff_p_adj, mode3_product
+from .tensors import EPS_RANK, diff_p, diff_p_adj
 from .problems import fidelity
 
 
@@ -161,11 +161,6 @@ def default_specs(n3, width, p, q, activation):
     for i in range(q):
         g_specs.append(LayerSpec(width, n3 if i == q - 1 else width, activation))
     return f_specs, g_specs
-
-
-def nofc3_forward(t, w, act):
-    """Single nonlinear mode-3 fully connected layer ``act(t x3 w)``."""
-    return act.apply(mode3_product(t, w))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,8 @@ class ObservationModel:
 
     ``mask`` is a {0,1} tensor (the observed set for tc/rtc, the sensing
     mask for sci) and is absent for bs.  ``measurement`` is the observed
-    tensor, except for sci where it is the summed 2-D snapshot.
+    tensor, except for sci where it is the summed 2-D snapshot.  A
+    measurement holding NaN or inf is rejected.
     """
 
     kind: str
@@ -44,6 +45,8 @@ class ObservationModel:
                 raise ValueError("background subtraction takes no mask")
         elif self.mask is None:
             raise ValueError(f"{self.kind} requires a mask")
+        if not np.isfinite(self.measurement).all():
+            raise ValueError("measurement holds non-finite values (NaN or inf)")
         if self.mask is not None and not np.isin(self.mask, (0.0, 1.0)).all():
             raise ValueError("mask entries must be 0 or 1")
         if self.kind == "sci":

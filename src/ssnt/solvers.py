@@ -1,12 +1,12 @@
 """Optimization drivers.
 
-``solve_ssnt`` trains the transform pair by plain Adam on the
-low-rank-plus-fidelity loss.  ``solve_ssnt_tv`` adds an anisotropic
-spatial total-variation term, handled by an ADMM-style outer loop: per
-outer iteration the network takes ``inner_steps`` Adam steps on the
-augmented objective, then the TV splitting variables get their
-closed-form soft-threshold update and the multipliers a dual ascent
-step.
+Both solvers run one training loop.  Each iteration takes Adam steps on
+the low-rank-plus-fidelity loss; ``solve_ssnt`` takes one step per
+iteration.  ``solve_ssnt_tv`` adds an anisotropic spatial
+total-variation term, handled ADMM-style: per outer iteration the
+network takes ``inner_steps`` Adam steps on the augmented objective,
+then the TV splitting variables get their closed-form soft-threshold
+update and the multipliers a dual ascent step.
 
 The whole observed tensor is one batch; there is no early stopping
 unless the opt-in loss-plateau flag is set.
@@ -178,34 +178,6 @@ def _plateaued(history, cfg):
     return max(recent) - min(recent) <= cfg.plateau_tol * scale
 
 
-def solve_ssnt(model, cfg, x0=None):
-    """Train the transform pair with plain Adam (no TV term).
-
-    ``x0`` overrides the problem initializer feeding the network.
-    Returns the assembled estimate, the trained parameters and the
-    per-iteration diagnostics.  Warns (does not fail) when the final
-    loss exceeds the initial one.
-    """
-    if x0 is None:
-        x0 = init_observation(model)
-    xs = SliceStack.from_tensor(x0)
-    params = _build_network(cfg, xs.channels)
-    state = AdamState.zeros(params.weights())
-    history = []
-    for it in range(cfg.t_max):
-        loss, grads = loss_and_grad(xs, params, model, cfg)
-        old = params.weights()
-        new, state = adam_step(old, grads, state, cfg)
-        params = params.with_weights(new)
-        history.append(Diagnostics(it, _rel_change(new, old), 0.0, loss))
-        if _plateaued(history, cfg):
-            break
-    if history and history[-1].loss.total > history[0].loss.total:
-        warnings.warn("loss increased over the run", RuntimeWarning)
-    x = assemble(reconstruct(xs, params).to_tensor(), model).x
-    return x, params, history
-
-
 def v_update(x, admm, cfg):
     """Closed-form TV splitting update: soft-threshold the shifted
     spatial differences of the current reconstruction at ``tau/beta``."""
@@ -222,47 +194,70 @@ def multiplier_update(admm, x, cfg):
     return l1, l2
 
 
-def solve_ssnt_tv(model, cfg, x0=None, admm0=None):
-    """TV-regularized solve (ADMM-style outer loop).
-
-    Initialization: splitting variables start at the spatial differences
-    of the initialized observation, multipliers at zero (``admm0``
-    overrides this).  Each outer iteration runs ``inner_steps`` Adam
-    steps on the augmented objective, then the splitting update, then
-    the multiplier update.  Diagnostics record the summed relative
-    changes of the weights and of the splitting variables per outer
-    iteration.
-    """
-    if x0 is None:
-        x0 = init_observation(model)
+def _solve(model, cfg, x0, admm):
+    """The training loop of both solvers; ``admm`` is ``None`` for the
+    plain solver and is otherwise updated in place."""
     xs = SliceStack.from_tensor(x0)
     params = _build_network(cfg, xs.channels)
     state = AdamState.zeros(params.weights())
-    admm = admm0 if admm0 is not None else AdmmState(
-        v1=diff_p(x0, 1),
-        v2=diff_p(x0, 2),
-        l1=np.zeros(x0.shape),
-        l2=np.zeros(x0.shape),
-    )
     history = []
     for it in range(cfg.t_max):
         old = params.weights()
-        loss = None
         for _ in range(cfg.inner_steps):
             loss, grads = loss_and_grad(xs, params, model, cfg, admm)
             new, state = adam_step(params.weights(), grads, state, cfg)
             params = params.with_weights(new)
-        rel_w = _rel_change(params.weights(), old)
-        x = reconstruct(xs, params).to_tensor()
-        v1, v2 = v_update(x, admm, cfg)
-        rel_v = _rel_change([v1, v2], [admm.v1, admm.v2])
-        admm.v1, admm.v2 = v1, v2
-        admm.l1, admm.l2 = multiplier_update(admm, x, cfg)
-        admm.iter = it + 1
-        history.append(Diagnostics(it, rel_w, rel_v, loss))
+        rel_v = 0.0
+        if admm is not None:
+            x = reconstruct(xs, params).to_tensor()
+            v1, v2 = v_update(x, admm, cfg)
+            rel_v = _rel_change([v1, v2], [admm.v1, admm.v2])
+            admm.v1, admm.v2 = v1, v2
+            admm.l1, admm.l2 = multiplier_update(admm, x, cfg)
+            admm.iter = it + 1
+        history.append(Diagnostics(it, _rel_change(params.weights(), old), rel_v, loss))
         if _plateaued(history, cfg):
             break
     if history and history[-1].loss.total > history[0].loss.total:
         warnings.warn("loss increased over the run", RuntimeWarning)
     x = assemble(reconstruct(xs, params).to_tensor(), model).x
     return x, params, history
+
+
+def solve_ssnt(model, cfg, x0=None):
+    """Train the transform pair with plain Adam (no TV term).
+
+    ``x0`` overrides the problem initializer feeding the network.
+    Returns the assembled estimate, the trained parameters and the
+    per-iteration diagnostics.  Warns (does not fail) when the final
+    loss exceeds the initial one.  ``cfg.inner_steps`` must be 1: inner
+    steps belong to the TV solver.
+    """
+    if cfg.inner_steps != 1:
+        raise ValueError(
+            f"inner_steps={cfg.inner_steps} needs the TV solver; the plain solver "
+            "takes one Adam step per iteration"
+        )
+    return _solve(model, cfg, init_observation(model) if x0 is None else x0, None)
+
+
+def solve_ssnt_tv(model, cfg, x0=None, admm0=None):
+    """TV-regularized solve (ADMM-style outer loop).
+
+    Initialization: splitting variables start at the spatial differences
+    of the initialized observation, multipliers at zero (``admm0``
+    overrides this and is updated in place, so it ends holding the
+    final state).  Each outer iteration runs ``inner_steps`` Adam steps
+    on the augmented objective, then the splitting update, then the
+    multiplier update.  Diagnostics record the summed relative changes
+    of the weights and of the splitting variables per outer iteration.
+    """
+    if x0 is None:
+        x0 = init_observation(model)
+    admm = admm0 if admm0 is not None else AdmmState(
+        v1=diff_p(x0, 1),
+        v2=diff_p(x0, 2),
+        l1=np.zeros(x0.shape),
+        l2=np.zeros(x0.shape),
+    )
+    return _solve(model, cfg, x0, admm)

@@ -67,16 +67,6 @@ def mode3_product(t, a):
     return np.tensordot(t, a, axes=([2], [1]))
 
 
-def fro_norm(t):
-    """Frobenius norm ``sqrt(sum of squared entries)`` of any array."""
-    return float(np.linalg.norm(np.asarray(t).ravel()))
-
-
-def l1_norm(t):
-    """Entrywise l1 norm ``sum |entries|`` of any array."""
-    return float(np.abs(np.asarray(t)).sum())
-
-
 def nuclear_norm(m):
     """Nuclear norm (sum of singular values) of a matrix.
 
@@ -139,20 +129,39 @@ def dft_mode3(t):
     return np.fft.fft(np.asarray(t), axis=2)
 
 
-def idft_mode3(t):
-    """Inverse of :func:`dft_mode3` (``1/n3``-scaled)."""
-    return np.fft.ifft(np.asarray(t), axis=2)
+def half_spectrum_svd(t, full_matrices=False, compute_uv=True):
+    """Batched SVD of the mode-3 DFT slices ``0..n3//2`` of a real tensor.
+
+    The slices come from ``np.fft.rfft`` as one ``(n3//2 + 1, n1, n2)``
+    stack.  Slice ``n3 - k`` is the complex conjugate of slice ``k``, so
+    its SVD is the conjugate one and is never computed.  Returns what
+    ``np.linalg.svd`` returns for the stack.
+    """
+    half = np.moveaxis(np.fft.rfft(_as_tensor(t), axis=2), 2, 0)
+    return np.linalg.svd(half, full_matrices=full_matrices, compute_uv=compute_uv)
+
+
+def from_half_spectrum(slices, n3):
+    """The real ``(n1, n2, n3)`` tensor whose mode-3 DFT slices
+    ``0..n3//2`` are the ``(n3//2 + 1, n1, n2)`` stack ``slices``
+    (inverse of the stack :func:`half_spectrum_svd` factors)."""
+    return np.fft.irfft(np.moveaxis(slices, 0, 2), n=n3, axis=2)
 
 
 def tnn(t):
-    """Tensor nuclear norm: sum of nuclear norms of the DFT-domain slices."""
-    that = dft_mode3(t)
-    return float(
-        sum(
-            np.linalg.svd(that[:, :, k], compute_uv=False).sum()
-            for k in range(that.shape[2])
-        )
-    )
+    """Tensor nuclear norm: sum of nuclear norms of the DFT-domain slices.
+
+    Conjugate slices share their singular values, so only slices
+    ``0..n3//2`` are decomposed; all but the DC slice and (for even
+    ``n3``) the Nyquist slice count twice.
+    """
+    t = _as_tensor(t)
+    n3 = t.shape[2]
+    weights = np.full(n3 // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if n3 % 2 == 0:
+        weights[-1] = 1.0
+    return float(weights @ half_spectrum_svd(t, compute_uv=False).sum(axis=1))
 
 
 def identity_tensor(n, n3):
@@ -199,29 +208,17 @@ def t_svd(a):
     ``U`` (n1 x n1 x n3) and ``V`` (n2 x n2 x n3) are orthogonal in the
     t-product sense and ``S`` (n1 x n2 x n3) is f-diagonal in the DFT
     domain.  Per-slice SVDs are computed for the first ``n3//2 + 1``
-    DFT slices only; the rest are filled in by conjugate symmetry so the
-    factors come back exactly real.
+    DFT slices only (:func:`half_spectrum_svd`); the rest follow by
+    conjugate symmetry, so the factors come back exactly real.
     """
     a = _as_tensor(a)
     n1, n2, n3 = a.shape
-    ahat = np.fft.fft(a, axis=2)
-    uhat = np.zeros((n1, n1, n3), dtype=complex)
-    shat = np.zeros((n1, n2, n3), dtype=complex)
-    vhat = np.zeros((n2, n2, n3), dtype=complex)
-    r = min(n1, n2)
-    for k in range(n3 // 2 + 1):
-        u, s, vh = np.linalg.svd(ahat[:, :, k])
-        uhat[:, :, k] = u
-        shat[:r, :r, k] = np.diag(s)
-        vhat[:, :, k] = vh.conj().T
-    for k in range(n3 // 2 + 1, n3):
-        uhat[:, :, k] = uhat[:, :, n3 - k].conj()
-        shat[:, :, k] = shat[:, :, n3 - k].conj()
-        vhat[:, :, k] = vhat[:, :, n3 - k].conj()
-    u = np.fft.ifft(uhat, axis=2).real
-    s = np.fft.ifft(shat, axis=2).real
-    v = np.fft.ifft(vhat, axis=2).real
-    return u, s, v
+    uhat, s, vh = half_spectrum_svd(a, full_matrices=True)
+    shat = np.zeros((s.shape[0], n1, n2))
+    r = np.arange(s.shape[1])
+    shat[:, r, r] = s
+    vhat = np.conj(np.swapaxes(vh, 1, 2))
+    return tuple(from_half_spectrum(f, n3) for f in (uhat, shat, vhat))
 
 
 def tubal_rank(a, eps=EPS_RANK):

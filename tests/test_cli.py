@@ -266,6 +266,26 @@ class TestFailEarly:
         assert named and all(Path(p).exists() for p in named)
         assert (m.diagnostics_csv is not None) == (tmax > 0) == diag.exists()
 
+    def test_inner_steps_without_tv_writes_nothing(self, tmp_path, truth_file, capsys):
+        out = tmp_path / "rec.ssnt"
+        code = run("complete", "--input", truth_file, "--sr", "0.5", "--out", out,
+                   "--tmax", "5", "--inner-steps", "5")
+        assert code == 5
+        assert "inner_steps=5 needs the TV solver" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nonfinite_video_names_the_measurement(self, tmp_path, truth_file, capsys):
+        video = read_tensor(truth_file)
+        video[1, 1, 1] = np.nan
+        bad = tmp_path / "video.ssnt"
+        write_tensor(bad, video)
+        background = tmp_path / "bg.ssnt"
+        code = run("subtract", "--input", bad, "--background", background, "--tmax", "2")
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "kind=config" in err and "measurement holds non-finite values" in err
+        assert not background.exists()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("which", [0, 1])
     def test_metrics_rejects_nonfinite(self, tmp_path, truth_file, bad, which, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from ssnt.metrics import (
     AccEgyCurve,
+    _tsvt,
     acc_egy,
     metric_report,
     psnr,
@@ -176,3 +177,23 @@ class TestTnnBaseline:
         model = degrade(np.random.default_rng(16).uniform(0, 1, (4, 4, 3)), "bs", SamplingSpec())
         with pytest.raises(ValueError):
             tnn_baseline_complete(model)
+
+
+class TestTsvt:
+    """Slice-wise singular value thresholding from the half spectrum
+    against the same thresholding of every full-spectrum slice."""
+
+    @pytest.mark.parametrize("n3", [1, 2, 5, 6])
+    @pytest.mark.parametrize("thr", [0.0, 0.7, 1e3])
+    def test_matches_full_spectrum(self, n3, thr):
+        t = np.random.default_rng(n3).standard_normal((5, 4, n3))
+        that = np.fft.fft(t, axis=2)
+        out = np.zeros_like(that)
+        for k in range(n3):
+            u, s, vh = np.linalg.svd(that[:, :, k], full_matrices=False)
+            out[:, :, k] = (u * np.maximum(s - thr, 0.0)) @ vh
+        expect = np.fft.ifft(out, axis=2)
+        assert np.abs(expect.imag).max() < 1e-12
+        got = _tsvt(t, thr)
+        assert got.shape == t.shape and np.isrealobj(got)
+        assert np.allclose(got, expect.real, rtol=0.0, atol=1e-12)

@@ -19,7 +19,6 @@ from ssnt.network import (
     forward_g,
     init_weights,
     loss_and_grad,
-    nofc3_forward,
     nuclear_subgrad,
     reconstruct,
 )
@@ -80,11 +79,11 @@ class TestInitWeights:
 class TestForward:
     def test_nofc3_identity(self):
         t = np.random.default_rng(0).standard_normal((3, 4, 5))
-        assert np.array_equal(nofc3_forward(t, np.eye(5), IDENT), t)
+        assert np.array_equal(IDENT.apply(mode3_product(t, np.eye(5))), t)
 
     def test_nofc3_leaky_closed_form(self):
         t = -np.ones((1, 1, 2))
-        out = nofc3_forward(t, np.eye(2), LEAKY)
+        out = LEAKY.apply(mode3_product(t, np.eye(2)))
         assert np.allclose(out, -0.01)
 
     def test_nofc3_loop_oracle(self):
@@ -93,7 +92,7 @@ class TestForward:
         w = rng.standard_normal((5, 4))
         z = mode3_product(t, w)
         expect = np.where(z > 0, z, 0.01 * z)
-        assert np.allclose(nofc3_forward(t, w, LEAKY), expect)
+        assert np.allclose(LEAKY.apply(mode3_product(t, w)), expect)
 
     def test_single_identity_layer(self):
         t = np.random.default_rng(2).standard_normal((3, 3, 4))

@@ -298,3 +298,12 @@ class TestObservationModelValidation:
     def test_sci_measurement_shape(self):
         with pytest.raises(ValueError):
             ObservationModel("sci", np.zeros((2, 3)), np.ones((2, 2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["tc", "bs", "rtc", "sci"])
+    def test_nonfinite_measurement(self, kind, bad):
+        meas = np.zeros((3, 3) if kind == "sci" else (3, 3, 2))
+        meas[1, 2] = bad
+        mask = None if kind == "bs" else np.ones((3, 3, 2))
+        with pytest.raises(ValueError, match="measurement holds non-finite"):
+            ObservationModel(kind, meas, mask)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ssnt import network
+from ssnt import network, solvers
 from ssnt.network import Activation, Layer, NetworkParams, loss_and_grad, reconstruct
 from ssnt.problems import SamplingSpec, degrade, init_observation, synth_low_tubal_rank
 from ssnt.solvers import (
@@ -153,6 +153,12 @@ class TestSolveSsnt:
         data, model = tc_instance((5, 5, 3), sr=0.8, seed=9)
         cfg = SolverConfig(lam=0.0, t_max=8, lr=1.0, width=6, seed=10)
         with pytest.warns(RuntimeWarning):
+            solve_ssnt(model, cfg)
+
+    def test_inner_steps_need_tv(self):
+        _, model = tc_instance(seed=13)
+        cfg = SolverConfig(lam=1e-3, t_max=2, width=8, seed=14, inner_steps=2)
+        with pytest.raises(ValueError, match="inner_steps=2 needs the TV solver"):
             solve_ssnt(model, cfg)
 
     def test_plateau_stop_opt_in(self):
@@ -329,6 +335,27 @@ class TestSolveSsntTv:
             warnings.simplefilter("ignore")
             _, _, history = solve_ssnt_tv(model, cfg)
         assert history[499].rel_err_weights < 0.1 * history[9].rel_err_weights
+
+    def test_admm0_holds_final_state(self, monkeypatch):
+        """A caller's ``admm0`` ends holding the last splitting and
+        multiplier updates of the loop."""
+        truth = synth_low_tubal_rank((6, 6, 4), 2, seed=14)
+        model = degrade(truth, "rtc", SamplingSpec(sr=0.6, noise_sr=0.1, seed=15))
+        cfg = SolverConfig(lam=1e-3, tau=0.05, beta=1.0, t_max=3, width=8, seed=16)
+        updates = []
+
+        def recording(admm, x, cfg):
+            out = multiplier_update(admm, x, cfg)
+            updates.append((admm.v1, admm.v2) + out)
+            return out
+
+        monkeypatch.setattr(solvers, "multiplier_update", recording)
+        x0 = init_observation(model)
+        admm0 = AdmmState(diff_p(x0, 1), diff_p(x0, 2), np.zeros(x0.shape), np.zeros(x0.shape))
+        solve_ssnt_tv(model, cfg, x0=x0, admm0=admm0)
+        assert len(updates) == 3 and admm0.iter == 3
+        for got, last in zip((admm0.v1, admm0.v2, admm0.l1, admm0.l2), updates[-1]):
+            assert got is last
 
     def test_inner_steps_run(self):
         truth = synth_low_tubal_rank((5, 5, 3), 2, seed=11)

@@ -12,10 +12,7 @@ from ssnt.tensors import (
     diff_p,
     diff_p_adj,
     fold3,
-    fro_norm,
     identity_tensor,
-    idft_mode3,
-    l1_norm,
     mode3_product,
     nuclear_norm,
     soft_threshold,
@@ -98,8 +95,8 @@ class TestNorms:
     def test_zero(self):
         z = np.zeros((4, 3, 2))
         assert nuclear_norm(np.zeros((3, 3))) == 0.0
-        assert fro_norm(z) == 0.0
-        assert l1_norm(z) == 0.0
+        assert np.linalg.norm(z) == 0.0
+        assert np.abs(z).sum() == 0.0
 
     def test_nuclear_eigen_oracle(self):
         """trace(sqrt(M^T M)) via an eigen decomposition."""
@@ -142,8 +139,8 @@ class TestSoftThreshold:
             x = rng.standard_normal((4, 4, 3))
             y = rng.standard_normal((4, 4, 3))
             v = rng.uniform(0, 2)
-            d_out = fro_norm(soft_threshold(x, v) - soft_threshold(y, v))
-            assert d_out <= fro_norm(x - y) + 1e-12
+            d_out = np.linalg.norm(soft_threshold(x, v) - soft_threshold(y, v))
+            assert d_out <= np.linalg.norm(x - y) + 1e-12
 
 
 class TestDifferences:
@@ -208,8 +205,8 @@ class TestDftAndTnn:
 
     def test_inverse_dft_imaginary_residual(self):
         t = rand((4, 5, 6), 18)
-        back = idft_mode3(dft_mode3(t))
-        assert fro_norm(back.imag) <= 1e-10 * fro_norm(t)
+        back = np.fft.ifft(dft_mode3(t), axis=2)
+        assert np.linalg.norm(back.imag) <= 1e-10 * np.linalg.norm(t)
         assert np.allclose(back.real, t)
 
 
@@ -241,11 +238,11 @@ class TestTProductFamily:
         a = rand((6, 5, 4), 23)
         u, s, v = t_svd(a)
         rec = t_product(t_product(u, s), conj_transpose(v))
-        assert fro_norm(rec - a) <= 1e-9 * fro_norm(a)
+        assert np.linalg.norm(rec - a) <= 1e-9 * np.linalg.norm(a)
         eye_u = identity_tensor(6, 4)
         eye_v = identity_tensor(5, 4)
-        assert fro_norm(t_product(u, conj_transpose(u)) - eye_u) <= 1e-9
-        assert fro_norm(t_product(v, conj_transpose(v)) - eye_v) <= 1e-9
+        assert np.linalg.norm(t_product(u, conj_transpose(u)) - eye_u) <= 1e-9
+        assert np.linalg.norm(t_product(v, conj_transpose(v)) - eye_v) <= 1e-9
 
     def test_tsvd_fdiagonal_in_dft_domain(self):
         a = rand((5, 4, 3), 24)
@@ -266,3 +263,40 @@ class TestTProductFamily:
 
     def test_tubal_rank_of_zero(self):
         assert tubal_rank(np.zeros((3, 3, 2))) == 0
+
+
+class TestHalfSpectrum:
+    """t_svd and tnn decompose DFT slices 0..n3//2 only; checked against
+    per-slice SVDs of the full mode-3 spectrum."""
+
+    @pytest.mark.parametrize("n3", [1, 2, 5, 6])
+    def test_tnn_matches_full_spectrum(self, n3):
+        t = rand((5, 4, n3), 30 + n3)
+        that = np.fft.fft(t, axis=2)
+        expect = sum(np.linalg.svd(that[:, :, k], compute_uv=False).sum() for k in range(n3))
+        assert tnn(t) == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize("n3", [5, 6])
+    def test_tnn_decomposes_half_the_slices(self, n3, monkeypatch):
+        seen = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            seen.append(a.shape[:-2])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        tnn(rand((4, 3, n3), 40))
+        assert seen == [(n3 // 2 + 1,)]
+
+    @pytest.mark.parametrize("n3", [1, 2, 5, 6])
+    def test_tsvd_factors_every_dft_slice(self, n3):
+        a = rand((5, 4, n3), 50 + n3)
+        u, s, v = t_svd(a)
+        assert u.shape == (5, 5, n3) and s.shape == (5, 4, n3) and v.shape == (4, 4, n3)
+        ahat, uhat, shat, vhat = (np.fft.fft(f, axis=2) for f in (a, u, s, v))
+        for k in range(n3):
+            sv = np.linalg.svd(ahat[:, :, k], compute_uv=False)
+            assert np.allclose(np.diag(shat[:, :, k]), sv, atol=1e-12)
+            rebuilt = uhat[:, :, k] @ shat[:, :, k] @ vhat[:, :, k].conj().T
+            assert np.allclose(rebuilt, ahat[:, :, k], atol=1e-12)
