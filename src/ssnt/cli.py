@@ -6,10 +6,20 @@ and ``convert``.  Solver defaults come from
 :func:`ssnt.solvers.default_config`; every command is seed-deterministic
 and identical invocations produce byte-identical tensor and CSV outputs.
 
+The four solver commands (``complete``, ``robust-complete``,
+``subtract``, ``sci``) run one body, :func:`_run_solver`, on the
+observation :func:`_observe` builds.  ``--input`` is a ground truth to
+degrade at ``--sr`` and, unless ``--ref`` is given, the metrics
+reference; for ``subtract`` it is the video.  ``--ref`` is read and its
+shape checked before the solve.  ``convert`` takes exactly one of
+``--from-csv`` (with ``--dims``) and ``--to-csv``, and rejects a CSV
+holding NaN or inf.
+
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 malformed tensor
 file, 5 inconsistent shapes or configuration.  Failures print one
 machine-readable line ``error code=<n> kind=<kind> detail=<...>`` on
-stderr.
+stderr.  Inputs and flags are checked before the first output is
+written.
 """
 
 import argparse
@@ -38,6 +48,7 @@ from .problems import (
     synth_low_tubal_rank,
 )
 from .solvers import default_config, solve_ssnt, solve_ssnt_tv
+from .tensors import dft_mode3
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -64,6 +75,18 @@ def _parse_layers(text):
             f"expected --layers P,Q with two positive integers, got {text!r}"
         )
     return int(parts[0]), int(parts[1])
+
+
+def _add_observation_flags(sub, obs_flag, sr):
+    """Observation flags of the solver commands that degrade ``--input``.
+    A command lacking a flag that :func:`_observe` reads sets that value
+    with ``set_defaults``."""
+    sub.add_argument(obs_flag, dest="obs", default=None, metavar="SSNT")
+    sub.add_argument("--mask", default=None, metavar="SSNT")
+    sub.add_argument("--input", default=None, metavar="SSNT",
+                     help="ground truth; degrade at --sr first")
+    sub.add_argument("--sr", type=float, default=sr)
+    sub.add_argument("--out", required=True, metavar="SSNT")
 
 
 def _add_solver_flags(sub):
@@ -103,12 +126,46 @@ def _config_from_args(args, kind, dims):
     return replace(default_config(kind, dims), **over)
 
 
-def _run_solver(kind, model, args, outputs):
-    """Shared solve / write / report path of the four solver commands.
+def _observe(kind, args):
+    """The observation of a solver command, and the ground truth it was
+    simulated from (``None`` when it was read from files).
 
-    ``outputs`` maps output labels (``x``, optionally ``sparse``) to
-    file paths.
+    ``--input`` is a ground truth to degrade at ``--sr``, except for
+    ``bs``, where it is the video itself.
     """
+    if kind == "bs":
+        return ObservationModel("bs", read_tensor(args.input)), None
+    if args.input is not None:
+        truth = read_tensor(args.input)
+        spec = SamplingSpec(
+            sr=args.sr, noise_sr=args.noise_sr, gauss_sigma=args.sigma, seed=args.seed
+        )
+        return degrade(truth, kind, spec), truth
+    if args.obs is None or args.mask is None:
+        obs_flag = "--measurement" if kind == "sci" else "--obs"
+        raise ValueError(f"need either --input with --sr, or {obs_flag} with --mask")
+    obs = read_tensor(args.obs)
+    if kind == "sci":
+        if obs.shape[2] != 1:
+            raise ValueError("sci measurement file must have dims n1,n2,1")
+        obs = obs[:, :, 0]
+    return ObservationModel(kind, obs, read_tensor(args.mask)), None
+
+
+def _run_solver(args):
+    """The four solver commands: observe, check ``--ref``, solve, then
+    write the estimate, its sparse part, diagnostics, metrics and
+    manifest.
+
+    The metrics reference is ``--ref``, or else the ground truth that
+    ``--input`` was degraded from.
+    """
+    kind = args.kind
+    model, ref = _observe(kind, args)
+    if args.ref:
+        ref = read_tensor(args.ref)
+    if ref is not None and ref.shape != model.dims:
+        raise ValueError(f"reference dims {ref.shape} differ from the solve's {model.dims}")
     cfg = _config_from_args(args, kind, model.dims)
     started = _now()
     x0 = init_observation(model)
@@ -116,9 +173,11 @@ def _run_solver(kind, model, args, outputs):
     x, params, history = solver(model, cfg, x0=x0)
 
     result = assemble(x, model)
-    write_tensor(outputs["x"], result.x)
-    if "sparse" in outputs:
-        write_tensor(outputs["sparse"], result.sparse)
+    outputs = {"x": args.out}
+    write_tensor(args.out, result.x)
+    if args.sparse:
+        write_tensor(args.sparse, result.sparse)
+        outputs["sparse"] = args.sparse
     if args.save_transform:
         y, _ = forward_f(x0, params)
         write_tensor(args.save_transform, y)
@@ -129,8 +188,7 @@ def _run_solver(kind, model, args, outputs):
         export_diagnostics(history, diagnostics)
 
     metrics = None
-    if args.ref:
-        ref = read_tensor(args.ref)
+    if ref is not None:
         rep = metric_report(x, ref, peak=args.peak)
         metrics = {"psnr": rep.psnr, "ssim": rep.ssim, "sam": rep.sam, "peak": rep.peak}
         print(f"psnr={rep.psnr!r} ssim={rep.ssim!r} sam={rep.sam!r}")
@@ -141,7 +199,7 @@ def _run_solver(kind, model, args, outputs):
             seed=cfg.seed,
             started=started,
             finished=_now(),
-            outputs=dict(outputs),
+            outputs=outputs,
             diagnostics_csv=diagnostics,
             metrics=metrics,
         ).save(args.manifest)
@@ -172,59 +230,6 @@ def _cmd_degrade(args):
     return EXIT_OK
 
 
-def _load_tc_like(args, kind):
-    """Observation for tc/rtc: either --obs/--mask files or a fresh
-    degradation of --input at --sr."""
-    if args.input is not None:
-        x_true = read_tensor(args.input)
-        spec = SamplingSpec(sr=args.sr, noise_sr=args.noise_sr, seed=args.seed)
-        return degrade(x_true, kind, spec)
-    if args.obs is None or args.mask is None:
-        raise ValueError("need either --input with --sr, or --obs with --mask")
-    return ObservationModel(kind, read_tensor(args.obs), read_tensor(args.mask))
-
-
-def _cmd_complete(args):
-    model = _load_tc_like(args, "tc")
-    if args.ref is None and args.input is not None:
-        args.ref = args.input
-    return _run_solver("tc", model, args, {"x": args.out})
-
-
-def _cmd_robust_complete(args):
-    model = _load_tc_like(args, "rtc")
-    outputs = {"x": args.out}
-    if args.sparse:
-        outputs["sparse"] = args.sparse
-    return _run_solver("rtc", model, args, outputs)
-
-
-def _cmd_subtract(args):
-    video = read_tensor(args.input)
-    model = ObservationModel("bs", video)
-    outputs = {"x": args.background}
-    if args.foreground:
-        outputs["sparse"] = args.foreground
-    return _run_solver("bs", model, args, outputs)
-
-
-def _cmd_sci(args):
-    if args.input is not None:
-        x_true = read_tensor(args.input)
-        spec = SamplingSpec(sr=args.sr, gauss_sigma=args.sigma, seed=args.seed)
-        model = degrade(x_true, "sci", spec)
-        if args.ref is None:
-            args.ref = args.input
-    else:
-        if args.measurement is None or args.mask is None:
-            raise ValueError("need either --input, or --measurement with --mask")
-        meas = read_tensor(args.measurement)
-        if meas.shape[2] != 1:
-            raise ValueError("sci measurement file must have dims n1,n2,1")
-        model = ObservationModel("sci", meas[:, :, 0], read_tensor(args.mask))
-    return _run_solver("sci", model, args, {"x": args.out})
-
-
 def _cmd_metrics(args):
     x = read_tensor(args.x)
     ref = read_tensor(args.ref)
@@ -245,7 +250,7 @@ def _cmd_metrics(args):
 
 def _cmd_accegy(args):
     t = read_tensor(args.x)
-    curve = acc_egy(np.fft.fft(t, axis=2) if args.dft else t)
+    curve = acc_egy(dft_mode3(t) if args.dft else t)
     write_csv(
         args.out,
         ("fraction", "energy_ratio"),
@@ -262,35 +267,35 @@ def _cmd_baseline_tnn(args):
 
 
 def _cmd_convert(args):
-    if args.from_csv:
-        values = np.loadtxt(args.from_csv, dtype=np.float64, ndmin=1)
-        dims = _parse_dims(args.dims)
-        n1, n2, n3 = dims
-        if values.size != n1 * n2 * n3:
-            raise ValueError(f"{values.size} values do not fill dims {dims}")
-        t = values.reshape(n3, n1, n2).transpose(1, 2, 0)
-        norm = None
-        if not args.no_normalize:
-            lo, hi = float(t.min()), float(t.max())
-            if hi > lo:
-                t = (t - lo) / (hi - lo)
-            norm = {"min": lo, "max": hi}
-        write_tensor(args.out, t)
-        if args.manifest:
-            RunManifest(
-                command="convert",
-                config={"dims": list(dims), "normalize": not args.no_normalize},
-                seed=0,
-                started=_now(),
-                finished=_now(),
-                outputs={"x": args.out},
-                normalization=norm,
-            ).save(args.manifest)
-    else:
+    if args.to_csv is not None:
         t = read_tensor(args.to_csv)
-        flat = np.ascontiguousarray(t.transpose(2, 0, 1)).ravel()
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(repr(float(v)) for v in flat) + "\n")
+        write_csv(args.out, None, ((v,) for v in np.moveaxis(t, 2, 0).ravel().tolist()))
+        return EXIT_OK
+    dims = _parse_dims(args.dims)
+    values = np.loadtxt(args.from_csv, dtype=np.float64, ndmin=1)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{args.from_csv} holds non-finite values (NaN or inf)")
+    n1, n2, n3 = dims
+    if values.size != n1 * n2 * n3:
+        raise ValueError(f"{values.size} values do not fill dims {dims}")
+    t = values.reshape(n3, n1, n2).transpose(1, 2, 0)
+    norm = None
+    if not args.no_normalize:
+        lo, hi = float(t.min()), float(t.max())
+        if hi > lo:
+            t = (t - lo) / (hi - lo)
+        norm = {"min": lo, "max": hi}
+    write_tensor(args.out, t)
+    if args.manifest:
+        RunManifest(
+            command="convert",
+            config={"dims": list(dims), "normalize": not args.no_normalize},
+            seed=0,
+            started=_now(),
+            finished=_now(),
+            outputs={"x": args.out},
+            normalization=norm,
+        ).save(args.manifest)
     return EXIT_OK
 
 
@@ -320,42 +325,29 @@ def build_parser():
     s.set_defaults(func=_cmd_degrade)
 
     s = sub.add_parser("complete", help="tensor completion")
-    s.add_argument("--obs", default=None)
-    s.add_argument("--mask", default=None)
-    s.add_argument("--input", default=None, help="ground truth; degrade at --sr first")
-    s.add_argument("--sr", type=float, default=1.0)
-    s.add_argument("--noise-sr", type=float, default=0.0, help=argparse.SUPPRESS)
-    s.add_argument("--out", required=True)
+    _add_observation_flags(s, "--obs", sr=1.0)
     _add_solver_flags(s)
-    s.set_defaults(func=_cmd_complete)
+    s.set_defaults(func=_run_solver, kind="tc", noise_sr=0.0, sigma=0.0, sparse=None)
 
     s = sub.add_parser("robust-complete", help="completion under sparse corruption")
-    s.add_argument("--obs", default=None)
-    s.add_argument("--mask", default=None)
-    s.add_argument("--input", default=None)
-    s.add_argument("--sr", type=float, default=1.0)
+    _add_observation_flags(s, "--obs", sr=1.0)
     s.add_argument("--noise-sr", type=float, default=0.1)
-    s.add_argument("--out", required=True)
     s.add_argument("--sparse", default=None, help="write the implied sparse part")
     _add_solver_flags(s)
-    s.set_defaults(func=_cmd_robust_complete)
+    s.set_defaults(func=_run_solver, kind="rtc", sigma=0.0)
 
     s = sub.add_parser("subtract", help="background subtraction")
-    s.add_argument("--input", required=True)
-    s.add_argument("--background", required=True)
-    s.add_argument("--foreground", default=None)
+    s.add_argument("--input", required=True, help="the video")
+    s.add_argument("--background", dest="out", required=True, metavar="SSNT")
+    s.add_argument("--foreground", dest="sparse", default=None, metavar="SSNT")
     _add_solver_flags(s)
-    s.set_defaults(func=_cmd_subtract)
+    s.set_defaults(func=_run_solver, kind="bs")
 
     s = sub.add_parser("sci", help="snapshot compressive imaging")
-    s.add_argument("--measurement", default=None)
-    s.add_argument("--mask", default=None)
-    s.add_argument("--input", default=None)
-    s.add_argument("--sr", type=float, default=0.25)
+    _add_observation_flags(s, "--measurement", sr=0.25)
     s.add_argument("--sigma", type=float, default=0.0)
-    s.add_argument("--out", required=True)
     _add_solver_flags(s)
-    s.set_defaults(func=_cmd_sci)
+    s.set_defaults(func=_run_solver, kind="sci", noise_sr=0.0, sparse=None)
 
     s = sub.add_parser("metrics", help="psnr / ssim / sam report")
     s.add_argument("x")
@@ -380,9 +372,10 @@ def build_parser():
     s.set_defaults(func=_cmd_baseline_tnn)
 
     s = sub.add_parser("convert", help="flat CSV ingestion / export")
-    s.add_argument("--from-csv", default=None)
-    s.add_argument("--to-csv", default=None)
-    s.add_argument("--dims", default=None)
+    direction = s.add_mutually_exclusive_group(required=True)
+    direction.add_argument("--from-csv", default=None, metavar="CSV")
+    direction.add_argument("--to-csv", default=None, metavar="SSNT")
+    s.add_argument("--dims", default=None, help="n1,n2,n3 (required with --from-csv)")
     s.add_argument("--out", required=True)
     s.add_argument("--no-normalize", action="store_true")
     s.add_argument("--manifest", default=None)
@@ -402,6 +395,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "convert" and args.from_csv is not None and args.dims is None:
+            parser.error("convert --from-csv needs --dims n1,n2,n3")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -76,8 +76,8 @@ def write_tensor(path, t):
 
 
 def read_tensor(path):
-    """Read a tensor container, verifying magic, version, dims and
-    checksum."""
+    """Read a tensor container into a C-contiguous array, verifying
+    magic, version, dims and checksum."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 31 or blob[:5] != MAGIC:
@@ -97,7 +97,9 @@ def read_tensor(path):
     if fnv1a64(payload) != stored:
         raise FormatError("checksum", "payload corrupted")
     flat = np.frombuffer(payload, dtype="<f8")
-    return flat.reshape(n3, n1, n2).transpose(1, 2, 0).astype(np.float64)
+    # A C-ordered copy: numpy reductions run in memory order, so a tensor
+    # read from a file must sum like the same values built in memory.
+    return np.array(flat.reshape(n3, n1, n2).transpose(1, 2, 0), dtype=np.float64, order="C")
 
 
 @dataclass
@@ -152,22 +154,15 @@ def export_diagnostics(history, path):
     and creates no file."""
     if not history:
         raise ValueError("empty diagnostics history")
-    rows = []
-    for d in history:
-        rows.append(
-            (
-                str(d.iteration),
-                repr(d.rel_err_weights),
-                repr(d.rel_err_v),
-                repr(d.loss.total),
-                repr(d.loss.l1_lowrank),
-                repr(d.loss.l2_fidelity),
-                repr(d.loss.tv_penalty),
-            )
-        )
-    out = [",".join(DIAGNOSTICS_HEADER)]
-    out.extend(",".join(r) for r in rows)
-    _atomic_write(path, ("\n".join(out) + "\n").encode())
+    write_csv(
+        path,
+        DIAGNOSTICS_HEADER,
+        (
+            (d.iteration, d.rel_err_weights, d.rel_err_v, d.loss.total,
+             d.loss.l1_lowrank, d.loss.l2_fidelity, d.loss.tv_penalty)
+            for d in history
+        ),
+    )
 
 
 def read_diagnostics(path):
@@ -184,13 +179,14 @@ def read_diagnostics(path):
 
 
 def write_csv(path, header, rows):
-    """Small CSV writer with round-trip float formatting."""
+    """Atomic CSV writer with round-trip float formatting; a ``None``
+    header writes the rows alone."""
 
     def fmt(v):
         if isinstance(v, (float, np.floating)):
             return repr(float(v))
         return str(v)
 
-    lines = [",".join(header)]
+    lines = [] if header is None else [",".join(header)]
     lines.extend(",".join(fmt(v) for v in row) for row in rows)
     _atomic_write(path, ("\n".join(lines) + "\n").encode())

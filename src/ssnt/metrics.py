@@ -131,9 +131,7 @@ def acc_egy(transformed):
     An all-zero input yields a curve of ones, with a warning.
     """
     t = np.asarray(transformed)
-    sv = np.concatenate(
-        [np.linalg.svd(t[:, :, k], compute_uv=False) for k in range(t.shape[2])]
-    )
+    sv = np.linalg.svd(np.moveaxis(t, 2, 0), compute_uv=False).ravel()
     sv = np.sort(sv)[::-1]
     energy = sv**2
     total = energy.sum()

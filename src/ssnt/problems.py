@@ -235,13 +235,13 @@ def tv_backprojection_init(model, steps=50, shrink=0.05):
     return x
 
 
-def init_observation(model, sci_steps=50):
+def init_observation(model):
     """The problem-specific initializer feeding the transform network."""
     if model.kind in ("tc", "rtc"):
         return interpolate_tubes(model.measurement, model.mask)
     if model.kind == "bs":
         return model.measurement.copy()
-    return tv_backprojection_init(model, steps=sci_steps)
+    return tv_backprojection_init(model)
 
 
 def synth_low_tubal_rank(dims, rank, seed=0, smoothness=1.0):

@@ -33,6 +33,11 @@ from .tensors import diff_p, soft_threshold
 # zero previous iterate never produces inf diagnostics.
 REL_ERR_FLOOR = 1e-12
 
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -41,7 +46,8 @@ class SolverConfig:
     ``lam`` weights the transformed low-rank term, ``tau`` the TV term
     and ``beta`` the ADMM penalty.  ``width`` is the third-mode length
     at the f/g interface (``None`` means twice the input length).
-    Adam runs with (lr, beta1, beta2, eps); everything is seeded.
+    Adam runs with ``lr`` and the module's moment constants; everything
+    is seeded.
     """
 
     lam: float = 0.0
@@ -50,9 +56,6 @@ class SolverConfig:
     t_max: int = 1
     inner_steps: int = 1
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     width: int | None = None
     p: int = 2
@@ -68,7 +71,7 @@ class SolverConfig:
             raise ValueError("lam, tau must be >= 0 and beta > 0")
         if self.t_max < 0 or self.inner_steps < 1:
             raise ValueError("t_max must be >= 0 and inner_steps >= 1")
-        for name in ("lam", "tau", "beta", "lr", "beta1", "beta2", "eps"):
+        for name in ("lam", "tau", "beta", "lr"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
@@ -142,15 +145,15 @@ def adam_step(weights, grads, state, cfg):
         if not np.isfinite(g).all():
             raise FloatingPointError("non-finite gradient")
     t = state.t + 1
-    c1 = 1.0 - cfg.beta1**t
-    c2 = 1.0 - cfg.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     new_w, new_m, new_v = [], [], []
     for w, g, m, v in zip(weights, grads, state.m, state.v):
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
         new_m.append(m)
         new_v.append(v)
-        new_w.append(w - cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps))
+        new_w.append(w - cfg.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS))
     return new_w, AdamState(new_m, new_v, t)
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: subcommand flows, reproducibility of outputs
 and the exit-code table."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from ssnt.cli import main
 from ssnt.fileio import RunManifest, read_diagnostics, read_tensor, write_tensor
+from ssnt.problems import SamplingSpec, degrade, synth_low_tubal_rank
+from ssnt.solvers import default_config, solve_ssnt
 
 
 def run(*argv):
@@ -53,21 +56,24 @@ class TestComplete:
             blobs.append((rec.read_bytes(), diag.read_bytes()))
         assert blobs[0] == blobs[1]
 
-    def test_tv_flag_and_manifest(self, tmp_path, truth_file):
+    @pytest.mark.parametrize("command", ["complete", "robust-complete", "sci"])
+    def test_tv_flag_and_manifest(self, tmp_path, truth_file, command, capsys):
+        """--input is the metrics reference of every command that degrades it."""
         out = tmp_path / "rec.ssnt"
         manifest = tmp_path / "run.json"
         diag = tmp_path / "diag.csv"
         code = run(
-            "complete", "--input", truth_file, "--sr", "0.5", "--out", out,
+            command, "--input", truth_file, "--sr", "0.5", "--out", out,
             "--tv", "--tau", "0.2", "--tmax", "10", "--seed", "1",
             "--manifest", manifest, "--diagnostics", diag,
         )
         assert code == 0
         m = RunManifest.load(manifest)
-        assert m.command == "tc"
+        assert m.command == {"complete": "tc", "robust-complete": "rtc", "sci": "sci"}[command]
         assert m.config["tau"] == 0.2
         assert m.config["t_max"] == 10
-        assert m.metrics is not None
+        assert set(m.metrics) == {"psnr", "ssim", "sam", "peak"}
+        assert f"psnr={m.metrics['psnr']!r}" in capsys.readouterr().out
         rows = read_diagnostics(diag)
         assert len(rows) == 10
 
@@ -83,6 +89,21 @@ class TestComplete:
         rec = read_tensor(out)
         m = read_tensor(mask)
         assert np.array_equal(rec[m == 1.0], read_tensor(obs)[m == 1.0])
+
+    def test_obs_mask_output_equals_the_library(self, tmp_path):
+        """A run fed from files computes what the library computes on
+        the same values held in memory."""
+        truth = synth_low_tubal_rank((12, 12, 4), 2, seed=7)
+        model = degrade(truth, "tc", SamplingSpec(sr=0.5, seed=2))
+        obs, mask = tmp_path / "obs.ssnt", tmp_path / "mask.ssnt"
+        write_tensor(obs, model.measurement)
+        write_tensor(mask, model.mask)
+        out = tmp_path / "rec.ssnt"
+        assert run("complete", "--obs", obs, "--mask", mask, "--out", out, "--tmax", "5") == 0
+        x, _, _ = solve_ssnt(model, replace(default_config("tc", truth.shape), t_max=5, seed=0))
+        lib = tmp_path / "lib.ssnt"
+        write_tensor(lib, x)
+        assert out.read_bytes() == lib.read_bytes()
 
     def test_save_transform(self, tmp_path, truth_file):
         out = tmp_path / "rec.ssnt"
@@ -198,6 +219,37 @@ class TestConvert:
         assert m.normalization == {"min": -5.0, "max": 15.0}
 
 
+    @pytest.mark.parametrize("direction", [[], ["--from-csv", "x.csv", "--to-csv", "x.ssnt"]],
+                             ids=["neither", "both"])
+    def test_exactly_one_direction(self, tmp_path, direction, capsys):
+        out, manifest = tmp_path / "out", tmp_path / "m.json"
+        code = run("convert", *direction, "--dims", "2,2,2", "--out", out, "--manifest", manifest)
+        assert code == 2
+        assert "--from-csv" in capsys.readouterr().err
+        assert not out.exists() and not manifest.exists()
+
+    def test_from_csv_needs_dims(self, tmp_path, capsys):
+        csv_path = tmp_path / "raw.csv"
+        csv_path.write_text("1.0\n2.0\n")
+        out, manifest = tmp_path / "x.ssnt", tmp_path / "m.json"
+        assert run("convert", "--from-csv", csv_path, "--out", out, "--manifest", manifest) == 2
+        assert "--dims" in capsys.readouterr().err
+        assert not out.exists() and not manifest.exists()
+
+    @pytest.mark.parametrize("normalize", [[], ["--no-normalize"]], ids=["normalize", "raw"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_csv_is_rejected(self, tmp_path, bad, normalize, capsys):
+        csv_path = tmp_path / "raw.csv"
+        csv_path.write_text("\n".join(["0.5"] * 7 + [bad]) + "\n")
+        out, manifest = tmp_path / "x.ssnt", tmp_path / "m.json"
+        code = run("convert", "--from-csv", csv_path, "--dims", "2,2,2", "--out", out,
+                   "--manifest", manifest, *normalize)
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "kind=config" in err and str(csv_path) in err and "non-finite" in err
+        assert not out.exists() and not manifest.exists()
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage(self, truth_file, capsys):
         assert run("synth", "--dims", "2,2,2", "--out", "x", "--bogus") == 2
@@ -222,6 +274,14 @@ class TestExitCodes:
         code = run("convert", "--from-csv", csv_path, "--dims", "5,5,5", "--out", tmp_path / "y.ssnt")
         assert code == 5
         assert "kind=config" in capsys.readouterr().err
+
+    def test_complete_has_no_noise_rate(self, tmp_path, truth_file, capsys):
+        out = tmp_path / "rec.ssnt"
+        code = run("complete", "--input", truth_file, "--sr", "0.5", "--noise-sr", "0.3",
+                   "--out", out, "--tmax", "1")
+        assert code == 2
+        capsys.readouterr()
+        assert not out.exists()
 
     def test_shape_mismatch_between_files(self, tmp_path, truth_file, capsys):
         other = tmp_path / "other.ssnt"
@@ -272,6 +332,18 @@ class TestFailEarly:
                    "--tmax", "5", "--inner-steps", "5")
         assert code == 5
         assert "inner_steps=5 needs the TV solver" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ref_is_checked_before_the_solve(self, tmp_path, truth_file, capsys):
+        out = tmp_path / "rec.ssnt"
+        base = ("complete", "--input", truth_file, "--sr", "0.5", "--out", out, "--tmax", "1")
+        assert run(*base, "--ref", tmp_path / "none.ssnt") == 3
+        assert "kind=io" in capsys.readouterr().err
+        assert not out.exists()
+        other = tmp_path / "other.ssnt"
+        run("synth", "--dims", "6,6,3", "--out", other)
+        assert run(*base, "--ref", other) == 5
+        assert "kind=config" in capsys.readouterr().err
         assert not out.exists()
 
     def test_nonfinite_video_names_the_measurement(self, tmp_path, truth_file, capsys):

@@ -32,6 +32,7 @@ class TestTensorFile:
         back = read_tensor(path)
         assert np.array_equal(back, t)
         assert back.dtype == np.float64
+        assert back.flags.c_contiguous and back.flags.writeable
 
     def test_layout_is_slice_major(self, tmp_path):
         """Payload bytes enumerate k slowest, then i, then j."""

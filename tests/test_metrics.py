@@ -140,6 +140,16 @@ class TestAccEgy:
         b = acc_egy(7.3 * t)
         assert np.allclose(a.energy_ratio, b.energy_ratio, atol=1e-12)
 
+    @pytest.mark.parametrize("dft", [False, True], ids=["real", "dft"])
+    def test_equals_per_slice_svds(self, dft):
+        """The batched SVD pools exactly the per-slice singular values."""
+        t = np.random.default_rng(13).standard_normal((7, 5, 4))
+        if dft:
+            t = np.fft.fft(t, axis=2)
+        sv = np.concatenate([np.linalg.svd(t[:, :, k], compute_uv=False) for k in range(4)])
+        energy = np.sort(sv)[::-1] ** 2
+        assert np.array_equal(acc_egy(t).energy_ratio, np.cumsum(energy) / energy.sum())
+
     def test_all_zero_warns(self):
         with pytest.warns(RuntimeWarning):
             curve = acc_egy(np.zeros((3, 3, 2)))
