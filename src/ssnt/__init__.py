@@ -8,7 +8,6 @@ Tensors are plain ``numpy`` float64 arrays of shape ``(n1, n2, n3)``.
 from .metrics import MetricReport, acc_egy, metric_report, psnr, sam, ssim, tnn_baseline_complete
 from .network import (
     Activation,
-    LayerSpec,
     LossBreakdown,
     NetworkParams,
     forward_f,

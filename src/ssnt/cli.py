@@ -10,10 +10,12 @@ The four solver commands (``complete``, ``robust-complete``,
 ``subtract``, ``sci``) run one body, :func:`_run_solver`, on the
 observation :func:`_observe` builds.  ``--input`` is a ground truth to
 degrade at ``--sr`` and, unless ``--ref`` is given, the metrics
-reference; for ``subtract`` it is the video.  ``--ref`` is read and its
-shape checked before the solve.  ``convert`` takes exactly one of
+reference; for ``subtract`` it is the video.  ``--ref`` is read, and
+its shape and values checked, before the solve; ``metrics`` checks its
+two files the same way.  ``convert`` takes exactly one of
 ``--from-csv`` (with ``--dims``) and ``--to-csv``, and rejects a CSV
-holding NaN or inf.
+holding NaN or inf.  A malformed ``--dims`` or ``--layers`` is a usage
+error.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 malformed tensor
 file, 5 inconsistent shapes or configuration.  Failures print one
@@ -61,20 +63,31 @@ def _now():
     return datetime.now(timezone.utc).isoformat()
 
 
-def _parse_dims(text):
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 3 or any(p < 1 for p in parts):
-        raise ValueError(f"bad dims {text!r}; expected n1,n2,n3")
-    return tuple(parts)
+def _positive_ints(usage, count):
+    """An argparse type for ``count`` comma-separated positive integers;
+    ``usage`` names the flag in the error."""
+
+    def parse(text):
+        parts = text.split(",")
+        if len(parts) != count or not all(p.strip().isdecimal() and int(p) > 0 for p in parts):
+            raise argparse.ArgumentTypeError(
+                f"expected {usage} with {count} positive integers, got {text!r}"
+            )
+        return tuple(int(p) for p in parts)
+
+    return parse
 
 
-def _parse_layers(text):
-    parts = text.split(",")
-    if len(parts) != 2 or not all(p.strip().isdecimal() and int(p) > 0 for p in parts):
-        raise argparse.ArgumentTypeError(
-            f"expected --layers P,Q with two positive integers, got {text!r}"
-        )
-    return int(parts[0]), int(parts[1])
+_parse_dims = _positive_ints("--dims n1,n2,n3", 3)
+_parse_layers = _positive_ints("--layers P,Q", 2)
+
+
+def _read_finite(path):
+    """A tensor file that must hold only finite values."""
+    t = read_tensor(path)
+    if not np.isfinite(t).all():
+        raise ValueError(f"{path} holds non-finite values (NaN or inf)")
+    return t
 
 
 def _add_observation_flags(sub, obs_flag, sr):
@@ -163,7 +176,7 @@ def _run_solver(args):
     kind = args.kind
     model, ref = _observe(kind, args)
     if args.ref:
-        ref = read_tensor(args.ref)
+        ref = _read_finite(args.ref)
     if ref is not None and ref.shape != model.dims:
         raise ValueError(f"reference dims {ref.shape} differ from the solve's {model.dims}")
     cfg = _config_from_args(args, kind, model.dims)
@@ -207,8 +220,7 @@ def _run_solver(args):
 
 
 def _cmd_synth(args):
-    dims = _parse_dims(args.dims)
-    x = synth_low_tubal_rank(dims, args.tubal_rank, args.seed)
+    x = synth_low_tubal_rank(args.dims, args.tubal_rank, args.seed)
     write_tensor(args.out, x)
     return EXIT_OK
 
@@ -231,11 +243,8 @@ def _cmd_degrade(args):
 
 
 def _cmd_metrics(args):
-    x = read_tensor(args.x)
-    ref = read_tensor(args.ref)
-    for path, t in ((args.x, x), (args.ref, ref)):
-        if not np.isfinite(t).all():
-            raise ValueError(f"{path} holds non-finite values (NaN or inf)")
+    x = _read_finite(args.x)
+    ref = _read_finite(args.ref)
     peak = float(np.abs(ref).max()) if args.peak_from_ref else args.peak
     rep = metric_report(x, ref, peak=peak)
     print(f"psnr={rep.psnr!r} ssim={rep.ssim!r} sam={rep.sam!r}")
@@ -271,13 +280,12 @@ def _cmd_convert(args):
         t = read_tensor(args.to_csv)
         write_csv(args.out, None, ((v,) for v in np.moveaxis(t, 2, 0).ravel().tolist()))
         return EXIT_OK
-    dims = _parse_dims(args.dims)
     values = np.loadtxt(args.from_csv, dtype=np.float64, ndmin=1)
     if not np.isfinite(values).all():
         raise ValueError(f"{args.from_csv} holds non-finite values (NaN or inf)")
-    n1, n2, n3 = dims
+    n1, n2, n3 = args.dims
     if values.size != n1 * n2 * n3:
-        raise ValueError(f"{values.size} values do not fill dims {dims}")
+        raise ValueError(f"{values.size} values do not fill dims {args.dims}")
     t = values.reshape(n3, n1, n2).transpose(1, 2, 0)
     norm = None
     if not args.no_normalize:
@@ -289,7 +297,7 @@ def _cmd_convert(args):
     if args.manifest:
         RunManifest(
             command="convert",
-            config={"dims": list(dims), "normalize": not args.no_normalize},
+            config={"dims": list(args.dims), "normalize": not args.no_normalize},
             seed=0,
             started=_now(),
             finished=_now(),
@@ -307,7 +315,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("synth", help="generate synthetic low-tubal-rank ground truth")
-    s.add_argument("--dims", required=True)
+    s.add_argument("--dims", type=_parse_dims, required=True, metavar="N1,N2,N3")
     s.add_argument("--tubal-rank", type=int, default=2)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
@@ -375,7 +383,8 @@ def build_parser():
     direction = s.add_mutually_exclusive_group(required=True)
     direction.add_argument("--from-csv", default=None, metavar="CSV")
     direction.add_argument("--to-csv", default=None, metavar="SSNT")
-    s.add_argument("--dims", default=None, help="n1,n2,n3 (required with --from-csv)")
+    s.add_argument("--dims", type=_parse_dims, default=None, metavar="N1,N2,N3",
+                   help="required with --from-csv")
     s.add_argument("--out", required=True)
     s.add_argument("--no-normalize", action="store_true")
     s.add_argument("--manifest", default=None)

@@ -8,6 +8,10 @@ minimizing a weighted sum of the nuclear norms of the transformed
 frontal slices plus a data-fidelity term; the reconstruction is
 ``g(f(obs))``.
 
+:func:`init_weights` builds the pair from a solve config alone:
+``cfg.p`` layers ``n3 -> width -> ... -> width`` and ``cfg.q`` layers
+``width -> ... -> width -> n3``, all with ``cfg.activation``.
+
 Gradients are hand-written reverse mode.  The nuclear-norm term is
 back-propagated through its subgradient ``U_r @ V_r.T`` built from the
 singular vectors of each slice (singular values below
@@ -17,8 +21,10 @@ as constants of the step.
 The hot path holds tensors slice-major (:class:`SliceStack`): a layer
 is one ``W @ X`` on a ``(channels, n1*n2)`` matrix and the transformed
 slices form one contiguous ``(width, n1, n2)`` stack for the batched
-SVD.  The SVD stack runs in chunks on ``max(1, cpus // blas_threads)``
-threads, where ``blas_threads`` is what BLAS reads from
+SVD.  The forward tape holds each layer's slice-major input and
+pre-activation matrices, the form the backward pass consumes.  The SVD
+stack runs in chunks on ``max(1, cpus // blas_threads)`` threads,
+where ``blas_threads`` is what BLAS reads from
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` (all usable cpus when
 neither is set), so BLAS's own threads are never oversubscribed.
 Results do not depend on the thread count.
@@ -43,9 +49,11 @@ class Activation:
 
     def __post_init__(self):
         if self.kind not in ("identity", "relu", "leaky_relu"):
-            raise ValueError(f"unknown activation {self.kind!r}")
+            raise ValueError(
+                f"activation must be identity, relu or leaky_relu, got {self.kind!r}"
+            )
         if self.kind == "leaky_relu" and not 0.0 < self.slope < 1.0:
-            raise ValueError("leaky_relu slope must lie in (0, 1)")
+            raise ValueError(f"slope must lie in (0, 1) for leaky_relu, got {self.slope!r}")
 
     def apply(self, z):
         if self.kind == "identity":
@@ -65,17 +73,6 @@ class Activation:
         return np.where(z > 0.0, g, self.slope * g)
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    in_dim: int
-    out_dim: int
-    activation: Activation
-
-    def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ValueError("layer dims must be positive")
-
-
 @dataclass
 class Layer:
     weight: np.ndarray  # (out_dim, in_dim), acts on mode-3 tubes
@@ -90,14 +87,6 @@ class NetworkParams:
 
     f_layers: list = field(default_factory=list)
     g_layers: list = field(default_factory=list)
-
-    @property
-    def p(self):
-        return len(self.f_layers)
-
-    @property
-    def q(self):
-        return len(self.g_layers)
 
     def weights(self):
         """All weight matrices, f stack first then g stack."""
@@ -122,45 +111,26 @@ class LossBreakdown:
         return self.l1_lowrank + self.l2_fidelity + self.tv_penalty
 
 
-def init_weights(f_specs, g_specs, seed=0):
-    """Draw every weight uniformly from +-sqrt(6 / (in_dim + out_dim)).
+def init_weights(n3, cfg):
+    """The f and g stacks of a solve config for third-mode length ``n3``.
 
-    Deterministic for a fixed seed.  The two spec lists must chain:
-    each layer's ``in_dim`` equals the previous layer's ``out_dim`` and
-    ``g`` starts where ``f`` ends.
+    The layers run ``n3 -> width -> ... -> width -> n3``: ``cfg.p`` of
+    them in f and ``cfg.q`` in g, with ``width = cfg.width`` or twice
+    ``n3`` when that is ``None``.  Each weight is drawn in layer order
+    from one generator seeded with ``cfg.seed``, uniformly from
+    ``+-sqrt(6 / (in_dim + out_dim))``.
     """
-    chain = list(f_specs) + list(g_specs)
-    for prev, nxt in zip(chain, chain[1:]):
-        if prev.out_dim != nxt.in_dim:
-            raise ValueError(
-                f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}"
-            )
-    rng = np.random.default_rng(seed)
-
-    def draw(specs):
-        layers = []
-        for s in specs:
-            bound = np.sqrt(6.0 / (s.in_dim + s.out_dim))
-            w = rng.uniform(-bound, bound, size=(s.out_dim, s.in_dim))
-            layers.append(Layer(w, s.activation))
-        return layers
-
-    return NetworkParams(draw(f_specs), draw(g_specs))
-
-
-def default_specs(n3, width, p, q, activation):
-    """Layer specs for an f stack n3 -> width and a g stack width -> n3.
-
-    Intermediate layers keep the working width; single-layer stacks map
-    straight through.
-    """
-    f_specs = []
-    for i in range(p):
-        f_specs.append(LayerSpec(n3 if i == 0 else width, width, activation))
-    g_specs = []
-    for i in range(q):
-        g_specs.append(LayerSpec(width, n3 if i == q - 1 else width, activation))
-    return f_specs, g_specs
+    if n3 < 1:
+        raise ValueError(f"third-mode length must be positive, got {n3}")
+    width = cfg.width if cfg.width is not None else 2 * n3
+    act = Activation(cfg.activation, cfg.slope)
+    dims = [n3] + [width] * (cfg.p + cfg.q - 1) + [n3]
+    rng = np.random.default_rng(cfg.seed)
+    layers = []
+    for d_in, d_out in zip(dims, dims[1:]):
+        bound = np.sqrt(6.0 / (d_in + d_out))
+        layers.append(Layer(rng.uniform(-bound, bound, size=(d_out, d_in)), act))
+    return NetworkParams(layers[: cfg.p], layers[cfg.p:])
 
 
 @dataclass(frozen=True)
@@ -203,8 +173,9 @@ def _as_stack(t):
 
 
 def _run_stack(t, layers):
-    """Run a layer stack on a tensor or a :class:`SliceStack`, caching
-    (input, pre-activation) per layer; results come back in the input's form."""
+    """Run a layer stack on a tensor or a :class:`SliceStack`.  The
+    result comes back in the input's form; the tape holds each layer's
+    slice-major (input, pre-activation) matrices."""
     xs = _as_stack(t)
     if layers and xs.channels != layers[0].weight.shape[1]:
         raise ValueError("input third-mode length does not match the first layer")
@@ -214,17 +185,15 @@ def _run_stack(t, layers):
         z = lay.weight @ x
         tape.append((x, z))
         x = lay.activation.apply(z)
-    if isinstance(t, SliceStack):
-        return xs.like(x), tape
-    tape = [(xs.like(a).to_tensor(), xs.like(z).to_tensor()) for a, z in tape]
-    return xs.like(x).to_tensor(), tape
+    out = xs.like(x)
+    return (out if isinstance(t, SliceStack) else out.to_tensor()), tape
 
 
 def forward_f(t, params):
     """Apply the forward transform; returns the transformed tensor and
-    the tape of cached (input, pre-activation) pairs needed for reverse
-    mode.  ``t`` is an ``(n1, n2, n3)`` tensor or a :class:`SliceStack`;
-    the result and the tape come back in the same form."""
+    the tape of cached slice-major (input, pre-activation) matrices
+    needed for reverse mode.  ``t`` is an ``(n1, n2, n3)`` tensor or a
+    :class:`SliceStack`; the result comes back in the same form."""
     return _run_stack(t, params.f_layers)
 
 
@@ -272,7 +241,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_EXECUTORS.clear)
 
 
-def _subgrad_chunk(stack, sub, norms, eps, lo, hi):
+def _subgrad_chunk(stack, sub, norms, lo, hi):
     """Fill ``sub[lo:hi]`` and ``norms[lo:hi]`` for ``stack[lo:hi]``.  A
     matrix that keeps all its singular vectors takes ``u @ vh``; any
     other is recomputed from its kept vectors alone, or set to zero."""
@@ -280,7 +249,7 @@ def _subgrad_chunk(stack, sub, norms, eps, lo, hi):
     norms[lo:hi] = s.sum(axis=-1)
     np.matmul(u, vh, out=sub[lo:hi])
     top = s[:, 0]
-    keep = s > eps * top[:, None]
+    keep = s > EPS_RANK * top[:, None]
     for k in np.flatnonzero(~keep.all(axis=1) | (top <= 0.0)):
         if top[k] <= 0.0:
             sub[lo + k] = 0.0
@@ -288,7 +257,7 @@ def _subgrad_chunk(stack, sub, norms, eps, lo, hi):
             sub[lo + k] = u[k][:, keep[k]] @ vh[k][keep[k], :]
 
 
-def _lowrank_chunks(stack, eps, workers):
+def _lowrank_chunks(stack, workers):
     """Subgradients and nuclear norms of every matrix of a ``(K, r, c)``
     stack, split into contiguous chunks run on ``workers`` threads.
     Each matrix is computed the same way whatever the chunking, so the
@@ -302,36 +271,34 @@ def _lowrank_chunks(stack, eps, workers):
     bounds = list(zip(edges[:-1], edges[1:]))
     if workers == 1 or n == 1:
         for lo, hi in bounds:
-            _subgrad_chunk(stack, sub, norms, eps, lo, hi)
+            _subgrad_chunk(stack, sub, norms, lo, hi)
         return sub, norms
     pool = _EXECUTORS.get(workers)
     if pool is None:
         from concurrent.futures import ThreadPoolExecutor  # only multi-core runs pay its import
 
         pool = _EXECUTORS[workers] = ThreadPoolExecutor(workers, thread_name_prefix="ssnt-svd")
-    for job in [pool.submit(_subgrad_chunk, stack, sub, norms, eps, lo, hi) for lo, hi in bounds]:
+    for job in [pool.submit(_subgrad_chunk, stack, sub, norms, lo, hi) for lo, hi in bounds]:
         job.result()
     return sub, norms
 
 
-def nuclear_subgrad(m, eps=EPS_RANK, return_norms=False):
+def nuclear_subgrad(m):
     """Subgradient ``U_r @ V_r.T`` of the nuclear norm at ``m``, or at
-    every matrix of a stack ``m[..., :, :]``.
+    every matrix of a stack ``m[..., :, :]``, and the nuclear norms
+    (shape ``m.shape[:-2]``).
 
     ``U_r, V_r`` keep the singular vectors whose singular values exceed
-    ``eps`` times the largest one; a zero matrix maps to a zero matrix.
-    With ``return_norms`` the nuclear norms (shape ``m.shape[:-2]``) are
-    returned too.
+    ``EPS_RANK`` times the largest one; a zero matrix maps to a zero
+    matrix.
     """
     m = np.asarray(m)
     if m.ndim < 2:
         raise ValueError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
     if m.size == 0:
-        sub, norms = np.zeros(m.shape, np.result_type(m.dtype, np.float64)), np.zeros(m.shape[:-2])
-    else:
-        sub, norms = _lowrank_chunks(m.reshape((-1,) + m.shape[-2:]), eps, _LOWRANK_WORKERS)
-        sub, norms = sub.reshape(m.shape), norms.reshape(m.shape[:-2])
-    return (sub, norms) if return_norms else sub
+        return np.zeros(m.shape, np.result_type(m.dtype, np.float64)), np.zeros(m.shape[:-2])
+    sub, norms = _lowrank_chunks(m.reshape((-1,) + m.shape[-2:]), _LOWRANK_WORKERS)
+    return sub.reshape(m.shape), norms.reshape(m.shape[:-2])
 
 
 def loss_and_grad(obs, params, model, cfg, admm=None):
@@ -358,7 +325,7 @@ def loss_and_grad(obs, params, model, cfg, admm=None):
     l1 = 0.0
     sub = None
     if lam > 0.0:
-        sub, norms = nuclear_subgrad(y.slices(), return_norms=True)
+        sub, norms = nuclear_subgrad(y.slices())
         for v in norms.tolist():  # summed in slice order
             l1 += lam * v
 

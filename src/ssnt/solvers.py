@@ -8,8 +8,10 @@ network takes ``inner_steps`` Adam steps on the augmented objective,
 then the TV splitting variables get their closed-form soft-threshold
 update and the multipliers a dual ascent step.
 
-The whole observed tensor is one batch; there is no early stopping
-unless the opt-in loss-plateau flag is set.
+The network is built from the config alone by
+:func:`ssnt.network.init_weights`.  The whole observed tensor is one
+batch, and every solve runs ``t_max`` iterations: there is no early
+stopping.
 """
 
 import warnings
@@ -21,7 +23,6 @@ from .network import (
     Activation,
     LossBreakdown,
     SliceStack,
-    default_specs,
     init_weights,
     loss_and_grad,
     reconstruct,
@@ -44,10 +45,12 @@ class SolverConfig:
     """Hyperparameters of one solve.
 
     ``lam`` weights the transformed low-rank term, ``tau`` the TV term
-    and ``beta`` the ADMM penalty.  ``width`` is the third-mode length
-    at the f/g interface (``None`` means twice the input length).
-    Adam runs with ``lr`` and the module's moment constants; everything
-    is seeded.
+    and ``beta`` the ADMM penalty.  The network has ``p`` layers in f
+    and ``q`` in g with ``activation`` (``slope`` for leaky_relu), and
+    ``width`` is the third-mode length at the f/g interface (``None``
+    means twice the input length).  Adam runs with ``lr`` and the
+    module's moment constants; everything is seeded.  Invalid values
+    raise ``ValueError`` naming the field at construction.
     """
 
     lam: float = 0.0
@@ -62,9 +65,6 @@ class SolverConfig:
     q: int = 2
     activation: str = "leaky_relu"
     slope: float = 0.01
-    plateau_stop: bool = False
-    plateau_tol: float = 1e-9
-    plateau_patience: int = 20
 
     def __post_init__(self):
         if self.lam < 0 or self.tau < 0 or self.beta <= 0:
@@ -74,6 +74,13 @@ class SolverConfig:
         for name in ("lam", "tau", "beta", "lr"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be > 0, got {self.lr!r}")
+        for name in ("p", "q", "width"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        Activation(self.activation, self.slope)  # rejects an unknown kind or a bad slope
 
 
 def default_config(kind, dims, **overrides):
@@ -157,13 +164,6 @@ def adam_step(weights, grads, state, cfg):
     return new_w, AdamState(new_m, new_v, t)
 
 
-def _build_network(cfg, n3):
-    width = cfg.width if cfg.width is not None else 2 * n3
-    act = Activation(cfg.activation, cfg.slope)
-    f_specs, g_specs = default_specs(n3, width, cfg.p, cfg.q, act)
-    return init_weights(f_specs, g_specs, cfg.seed)
-
-
 def _rel_change(new, old):
     return float(
         sum(
@@ -171,14 +171,6 @@ def _rel_change(new, old):
             for n, o in zip(new, old)
         )
     )
-
-
-def _plateaued(history, cfg):
-    if not cfg.plateau_stop or len(history) <= cfg.plateau_patience:
-        return False
-    recent = [d.loss.total for d in history[-(cfg.plateau_patience + 1):]]
-    scale = max(abs(recent[0]), REL_ERR_FLOOR)
-    return max(recent) - min(recent) <= cfg.plateau_tol * scale
 
 
 def v_update(x, admm, cfg):
@@ -201,7 +193,7 @@ def _solve(model, cfg, x0, admm):
     """The training loop of both solvers; ``admm`` is ``None`` for the
     plain solver and is otherwise updated in place."""
     xs = SliceStack.from_tensor(x0)
-    params = _build_network(cfg, xs.channels)
+    params = init_weights(xs.channels, cfg)
     state = AdamState.zeros(params.weights())
     history = []
     for it in range(cfg.t_max):
@@ -219,8 +211,6 @@ def _solve(model, cfg, x0, admm):
             admm.l1, admm.l2 = multiplier_update(admm, x, cfg)
             admm.iter = it + 1
         history.append(Diagnostics(it, _rel_change(params.weights(), old), rel_v, loss))
-        if _plateaued(history, cfg):
-            break
     if history and history[-1].loss.total > history[0].loss.total:
         warnings.warn("loss increased over the run", RuntimeWarning)
     x = assemble(reconstruct(xs, params).to_tensor(), model).x

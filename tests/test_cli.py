@@ -346,6 +346,43 @@ class TestFailEarly:
         assert "kind=config" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lr", ["-0.05", "0"])
+    def test_nonpositive_lr_writes_nothing(self, tmp_path, truth_file, lr, capsys):
+        out = tmp_path / "rec.ssnt"
+        code = run("complete", "--input", truth_file, "--sr", "0.5", "--out", out,
+                   "--tmax", "20", "--lr", lr)
+        assert code == 5
+        assert "kind=config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nonfinite_ref_writes_nothing(self, tmp_path, truth_file, capsys):
+        ref = read_tensor(truth_file)
+        ref[0, 1, 2] = np.nan
+        bad = tmp_path / "nan.ssnt"
+        write_tensor(bad, ref)
+        out = tmp_path / "rec.ssnt"
+        code = run("complete", "--input", truth_file, "--sr", "0.5", "--tmax", "2",
+                   "--ref", bad, "--out", out)
+        assert code == 5
+        captured = capsys.readouterr()
+        assert "kind=config" in captured.err and str(bad) in captured.err
+        assert "non-finite" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dims", ["a,b,c", "2,2", "0,1,1"])
+    @pytest.mark.parametrize("command", ["synth", "convert"])
+    def test_bad_dims_is_usage(self, tmp_path, dims, command, capsys):
+        out = tmp_path / "x.ssnt"
+        if command == "synth":
+            argv = ("synth", "--dims", dims, "--out", out)
+        else:
+            csv_path = tmp_path / "raw.csv"
+            csv_path.write_text("0.5\n" * 4)
+            argv = ("convert", "--from-csv", csv_path, "--dims", dims, "--out", out)
+        assert run(*argv) == 2
+        assert "--dims" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonfinite_video_names_the_measurement(self, tmp_path, truth_file, capsys):
         video = read_tensor(truth_file)
         video[1, 1, 1] = np.nan

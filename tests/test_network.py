@@ -12,9 +12,7 @@ from ssnt import network
 from ssnt.network import (
     Activation,
     Layer,
-    LayerSpec,
     NetworkParams,
-    default_specs,
     forward_f,
     forward_g,
     init_weights,
@@ -31,8 +29,8 @@ IDENT = Activation("identity")
 
 
 def small_net(n3, width, p=2, q=2, act=LEAKY, seed=0):
-    f_specs, g_specs = default_specs(n3, width, p, q, act)
-    return init_weights(f_specs, g_specs, seed=seed)
+    cfg = SolverConfig(width=width, p=p, q=q, activation=act.kind, slope=act.slope, seed=seed)
+    return init_weights(n3, cfg)
 
 
 class TestActivation:
@@ -57,23 +55,21 @@ class TestInitWeights:
             assert np.array_equal(wa, wb)
 
     def test_bound(self):
-        specs = [LayerSpec(3, 6, LEAKY)]
-        params = init_weights(specs, [], seed=1)
+        params = small_net(3, 6, p=1, q=1, seed=1)
         bound = np.sqrt(6.0 / 9.0)
-        w = params.f_layers[0].weight
-        assert (np.abs(w) <= bound).all()
+        for w in params.weights():
+            assert (np.abs(w) <= bound).all()
 
     def test_mean_monte_carlo(self):
         """Uniform(+-a) over 1e4 draws: |mean| within 3 standard errors."""
-        specs = [LayerSpec(100, 100, IDENT)]
-        w = init_weights(specs, [], seed=2).f_layers[0].weight
+        w = small_net(100, 100, p=1, q=1, act=IDENT, seed=2).f_layers[0].weight
         a = np.sqrt(6.0 / 200.0)
         se = a / np.sqrt(3.0 * w.size)
         assert abs(w.mean()) < 3.0 * se
 
-    def test_chain_mismatch(self):
-        with pytest.raises(ValueError):
-            init_weights([LayerSpec(3, 6, LEAKY)], [LayerSpec(5, 3, LEAKY)])
+    def test_zero_third_mode_length_is_rejected(self):
+        with pytest.raises(ValueError, match="third-mode length"):
+            init_weights(0, SolverConfig())
 
 
 class TestForward:
@@ -138,10 +134,13 @@ class TestForward:
 
 class TestNuclearSubgrad:
     def test_identity(self):
-        assert np.allclose(nuclear_subgrad(np.eye(3)), np.eye(3))
+        sub, norm = nuclear_subgrad(np.eye(3))
+        assert np.allclose(sub, np.eye(3))
+        assert norm == pytest.approx(3.0)
 
     def test_zero(self):
-        assert np.array_equal(nuclear_subgrad(np.zeros((3, 4))), np.zeros((3, 4)))
+        sub, norm = nuclear_subgrad(np.zeros((3, 4)))
+        assert np.array_equal(sub, np.zeros((3, 4))) and norm == 0.0
 
     def test_directional_derivative(self):
         """Central differences of the nuclear norm along random
@@ -155,7 +154,7 @@ class TestNuclearSubgrad:
             h = rng.standard_normal(m.shape)
             eps = 1e-6
             fd = (nuclear_norm(m + eps * h) - nuclear_norm(m - eps * h)) / (2 * eps)
-            analytic = np.vdot(nuclear_subgrad(m), h)
+            analytic = np.vdot(nuclear_subgrad(m)[0], h)
             assert fd == pytest.approx(analytic, rel=1e-5)
 
 
@@ -275,7 +274,7 @@ class TestLowrankStep:
 
     def test_norms_match_slice_loop_bitwise(self):
         st = self.stack()
-        _, norms = nuclear_subgrad(st, return_norms=True)
+        _, norms = nuclear_subgrad(st)
         assert norms.shape == (9,)
         for k in range(len(st)):
             assert norms[k] == np.linalg.svd(st[k], full_matrices=False)[1].sum()
@@ -284,13 +283,13 @@ class TestLowrankStep:
         """Truncation at EPS_RANK * sigma_max per slice, including a
         rank-deficient and an all-zero slice."""
         st = self.stack()
-        sub = nuclear_subgrad(st)
+        sub, _ = nuclear_subgrad(st)
         for k in range(len(st)):
             u, s, vh = np.linalg.svd(st[k], full_matrices=False)
             keep = s > EPS_RANK * s[0]
             expect = np.zeros_like(st[k]) if s[0] <= 0.0 else u[:, keep] @ vh[keep, :]
             assert np.array_equal(sub[k], expect)
-            assert np.array_equal(nuclear_subgrad(st[k]), expect)
+            assert np.array_equal(nuclear_subgrad(st[k])[0], expect)
         assert np.linalg.matrix_rank(sub[2]) == 2
         assert not sub[5].any()
 
@@ -309,17 +308,17 @@ class TestLowrankStep:
         st = np.random.default_rng(22).standard_normal((13, 40, 30))
         st[4] = 0.0
         monkeypatch.setattr(network, "_CHUNK_ENTRIES", 40 * 30)
-        sub1, norms1 = network._lowrank_chunks(st, EPS_RANK, 1)
+        sub1, norms1 = network._lowrank_chunks(st, 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for workers in (2, 8):
-                sub, norms = network._lowrank_chunks(st, EPS_RANK, workers)
+                sub, norms = network._lowrank_chunks(st, workers)
                 assert sub.tobytes() == sub1.tobytes()
                 assert norms.tobytes() == norms1.tobytes()
         finally:
             sys.setswitchinterval(interval)
-        whole, norms = nuclear_subgrad(st, return_norms=True)
+        whole, norms = nuclear_subgrad(st)
         assert whole.tobytes() == sub1.tobytes() and norms.tobytes() == norms1.tobytes()
 
     def test_loss_and_grad_same_on_one_or_two_workers(self, monkeypatch):
@@ -362,12 +361,15 @@ class TestSliceStack:
         assert np.array_equal(xs.to_tensor(), t)
 
     def test_forward_forms_agree(self):
+        """Outputs come back in the input's form; the tape is slice-major
+        either way."""
         obs, params, _, _ = tc_setup((3, 4, 5), 6, seed=25)
         xs = network.SliceStack.from_tensor(obs)
         y, tape = forward_f(obs, params)
         ys, tape_s = forward_f(xs, params)
         assert np.array_equal(ys.to_tensor(), y)
-        for (a, z), (a_s, z_s) in zip(tape, tape_s):
-            assert np.array_equal(xs.like(a_s).to_tensor(), a)
-            assert np.array_equal(xs.like(z_s).to_tensor(), z)
+        assert len(tape) == len(tape_s) == len(params.f_layers)
+        for (a, z), (a_s, z_s), lay in zip(tape, tape_s, params.f_layers):
+            assert np.array_equal(a, a_s) and np.array_equal(z, z_s)
+            assert z.shape == (lay.weight.shape[0], 3 * 4)
         assert np.array_equal(reconstruct(xs, params).to_tensor(), reconstruct(obs, params))
