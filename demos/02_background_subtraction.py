@@ -11,8 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ssnt import ObservationModel, assemble, default_config, psnr, reconstruct, solve_ssnt
-from ssnt.problems import init_observation
+from ssnt import ObservationModel, assemble, default_config, psnr, solve_ssnt
 
 n1 = n2 = 24
 frames = 12
@@ -32,9 +31,9 @@ print(f"low-rank weight (documented default, large by design): {cfg.lam:.3f}")
 
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
-    bg_est, params, history = solve_ssnt(model, cfg)
+    bg_est, _, _ = solve_ssnt(model, cfg)
 
-split = assemble(reconstruct(init_observation(model), params), model)
+split = assemble(bg_est, model)  # idempotent on its own output
 fg = split.sparse
 
 print(f"\nbackground psnr vs ground truth: {psnr(bg_est, background):.2f} dB")

@@ -19,7 +19,6 @@ from ssnt import (
     default_config,
     degrade,
     psnr,
-    reconstruct,
     solve_ssnt,
     solve_ssnt_tv,
 )
@@ -48,8 +47,8 @@ for label, solver, cfg in (
 ):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        x, params, _ = solver(model, cfg, x0=x0)
-    split = assemble(reconstruct(x0, params), model)
+        x, _, _ = solver(model, cfg, x0=x0)
+    split = assemble(x, model)
     on = np.abs(split.sparse)[corrupted].mean()
     off = np.abs(split.sparse)[(~corrupted) & (model.mask == 1.0)].mean()
     print(f"{label}: psnr {psnr(x, truth):5.2f} dB, "

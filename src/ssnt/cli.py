@@ -11,20 +11,22 @@ The four solver commands (``complete``, ``robust-complete``,
 observation :func:`_observe` builds.  ``--input`` is a ground truth to
 degrade at ``--sr`` and, unless ``--ref`` is given, the metrics
 reference; for ``subtract`` it is the video.  ``--ref`` is read, and
-its shape and values checked, before the solve; ``metrics`` checks its
-two files the same way.  ``convert`` takes exactly one of
-``--from-csv`` (with ``--dims``) and ``--to-csv``, and rejects a CSV
-holding NaN or inf.  A malformed ``--dims`` or ``--layers`` is a usage
-error.
+its shape and values checked, before the solve; ``metrics``,
+``accegy`` and ``convert --to-csv`` check their input files the same
+way.  ``--tau`` and ``--beta`` need ``--tv``.  ``convert`` takes
+exactly one of ``--from-csv`` (with ``--dims``) and ``--to-csv``, and
+rejects a CSV holding NaN or inf.  A malformed ``--dims`` or
+``--layers`` is a usage error.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 malformed tensor
 file, 5 inconsistent shapes or configuration.  Failures print one
 machine-readable line ``error code=<n> kind=<kind> detail=<...>`` on
-stderr.  Inputs and flags are checked before the first output is
-written.
+stderr.  Inputs, flags, the metrics and every output's directory are
+checked before the first output is written.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
@@ -131,12 +133,21 @@ _CONFIG_FLAGS = ("lam", "tau", "beta", "t_max", "inner_steps", "lr", "width", "s
 
 def _config_from_args(args, kind, dims):
     over = {name: getattr(args, name) for name in _CONFIG_FLAGS if getattr(args, name) is not None}
+    if not args.tv and {"tau", "beta"} & over.keys():
+        raise ValueError("--tau and --beta need --tv: only the TV solver reads them")
     over["seed"] = args.seed
     if args.layers is not None:
         over["p"], over["q"] = args.layers
     if args.linear:
         over["activation"] = "identity"
     return replace(default_config(kind, dims), **over)
+
+
+def _degrade_input(kind, args):
+    """``--input`` and its observation under ``kind``, simulated at ``--sr``."""
+    truth = read_tensor(args.input)
+    spec = SamplingSpec(sr=args.sr, noise_sr=args.noise_sr, gauss_sigma=args.sigma, seed=args.seed)
+    return degrade(truth, kind, spec), truth
 
 
 def _observe(kind, args):
@@ -149,11 +160,7 @@ def _observe(kind, args):
     if kind == "bs":
         return ObservationModel("bs", read_tensor(args.input)), None
     if args.input is not None:
-        truth = read_tensor(args.input)
-        spec = SamplingSpec(
-            sr=args.sr, noise_sr=args.noise_sr, gauss_sigma=args.sigma, seed=args.seed
-        )
-        return degrade(truth, kind, spec), truth
+        return _degrade_input(kind, args)
     if args.obs is None or args.mask is None:
         obs_flag = "--measurement" if kind == "sci" else "--obs"
         raise ValueError(f"need either --input with --sr, or {obs_flag} with --mask")
@@ -165,15 +172,32 @@ def _observe(kind, args):
     return ObservationModel(kind, obs, read_tensor(args.mask)), None
 
 
+def _check_out_dirs(*paths):
+    """Every output path that is given must lie in an existing directory."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(f"the directory of output {path} does not exist")
+
+
+def _report(x, ref, peak):
+    """Print the psnr / ssim / sam line of ``x`` against ``ref`` and
+    return the report as the ``psnr,ssim,sam,peak`` row."""
+    row = asdict(metric_report(x, ref, peak=peak))
+    print("psnr={psnr!r} ssim={ssim!r} sam={sam!r}".format(**row))
+    return row
+
+
 def _run_solver(args):
-    """The four solver commands: observe, check ``--ref``, solve, then
-    write the estimate, its sparse part, diagnostics, metrics and
-    manifest.
+    """The four solver commands: check the output directories, observe,
+    check ``--ref``, solve, report the metrics, then write the estimate,
+    its sparse part, the transform, diagnostics and manifest.
 
     The metrics reference is ``--ref``, or else the ground truth that
     ``--input`` was degraded from.
     """
     kind = args.kind
+    outputs = {"x": args.out, "sparse": args.sparse, "transform": args.save_transform}
+    _check_out_dirs(*outputs.values(), args.diagnostics, args.manifest)
     model, ref = _observe(kind, args)
     if args.ref:
         ref = _read_finite(args.ref)
@@ -184,27 +208,18 @@ def _run_solver(args):
     x0 = init_observation(model)
     solver = solve_ssnt_tv if args.tv else solve_ssnt
     x, params, history = solver(model, cfg, x0=x0)
+    metrics = _report(x, ref, args.peak) if ref is not None else None
 
     result = assemble(x, model)
-    outputs = {"x": args.out}
     write_tensor(args.out, result.x)
     if args.sparse:
         write_tensor(args.sparse, result.sparse)
-        outputs["sparse"] = args.sparse
     if args.save_transform:
-        y, _ = forward_f(x0, params)
-        write_tensor(args.save_transform, y)
-        outputs["transform"] = args.save_transform
+        write_tensor(args.save_transform, forward_f(x0, params)[0])
     # An empty history (--tmax 0) writes no CSV, so the manifest names none.
     diagnostics = args.diagnostics if history else None
     if diagnostics:
         export_diagnostics(history, diagnostics)
-
-    metrics = None
-    if ref is not None:
-        rep = metric_report(x, ref, peak=args.peak)
-        metrics = {"psnr": rep.psnr, "ssim": rep.ssim, "sam": rep.sam, "peak": rep.peak}
-        print(f"psnr={rep.psnr!r} ssim={rep.ssim!r} sam={rep.sam!r}")
     if args.manifest:
         RunManifest(
             command=kind,
@@ -212,7 +227,7 @@ def _run_solver(args):
             seed=cfg.seed,
             started=started,
             finished=_now(),
-            outputs=outputs,
+            outputs={k: v for k, v in outputs.items() if v},
             diagnostics_csv=diagnostics,
             metrics=metrics,
         ).save(args.manifest)
@@ -228,15 +243,9 @@ def _cmd_synth(args):
 def _cmd_degrade(args):
     if args.kind != "bs" and args.mask is None:
         raise ValueError(f"{args.kind} degradation needs --mask to store the mask")
-    x = read_tensor(args.input)
-    spec = SamplingSpec(
-        sr=args.sr, noise_sr=args.noise_sr, gauss_sigma=args.sigma, seed=args.seed
-    )
-    model = degrade(x, args.kind, spec)
-    if args.kind == "sci":
-        write_tensor(args.obs, model.measurement[:, :, None])
-    else:
-        write_tensor(args.obs, model.measurement)
+    _check_out_dirs(args.obs, args.mask)
+    model, _ = _degrade_input(args.kind, args)
+    write_tensor(args.obs, model.measurement[:, :, None] if args.kind == "sci" else model.measurement)
     if model.mask is not None:
         write_tensor(args.mask, model.mask)
     return EXIT_OK
@@ -246,25 +255,17 @@ def _cmd_metrics(args):
     x = _read_finite(args.x)
     ref = _read_finite(args.ref)
     peak = float(np.abs(ref).max()) if args.peak_from_ref else args.peak
-    rep = metric_report(x, ref, peak=peak)
-    print(f"psnr={rep.psnr!r} ssim={rep.ssim!r} sam={rep.sam!r}")
+    row = _report(x, ref, peak)
     if args.out:
-        write_csv(
-            args.out,
-            ("psnr", "ssim", "sam", "peak"),
-            [(rep.psnr, rep.ssim, rep.sam, rep.peak)],
-        )
+        write_csv(args.out, row, [row.values()])
     return EXIT_OK
 
 
 def _cmd_accegy(args):
-    t = read_tensor(args.x)
+    t = _read_finite(args.x)
     curve = acc_egy(dft_mode3(t) if args.dft else t)
-    write_csv(
-        args.out,
-        ("fraction", "energy_ratio"),
-        list(zip(curve.fractions.tolist(), curve.energy_ratio.tolist())),
-    )
+    rows = zip(curve.fractions.tolist(), curve.energy_ratio.tolist())
+    write_csv(args.out, ("fraction", "energy_ratio"), rows)
     return EXIT_OK
 
 
@@ -276,8 +277,9 @@ def _cmd_baseline_tnn(args):
 
 
 def _cmd_convert(args):
+    _check_out_dirs(args.out, args.manifest)
     if args.to_csv is not None:
-        t = read_tensor(args.to_csv)
+        t = _read_finite(args.to_csv)
         write_csv(args.out, None, ((v,) for v in np.moveaxis(t, 2, 0).ravel().tolist()))
         return EXIT_OK
     values = np.loadtxt(args.from_csv, dtype=np.float64, ndmin=1)
@@ -412,8 +414,6 @@ def main(argv=None):
         return args.func(args)
     except FormatError as exc:
         return _fail(EXIT_FORMAT, "format", exc)
-    except FileNotFoundError as exc:
-        return _fail(EXIT_IO, "io", exc)
     except OSError as exc:
         return _fail(EXIT_IO, "io", exc)
     except (ValueError, KeyError, FloatingPointError) as exc:

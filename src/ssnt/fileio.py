@@ -52,7 +52,10 @@ def fnv1a64(data):
 
 def _atomic_write(path, data):
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ssnt-tmp-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ssnt-tmp-")
+    except OSError as exc:  # name the requested path, not the temp file
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -25,7 +25,6 @@ class MetricReport:
     ssim: float
     sam: float
     peak: float = 1.0
-    per_slice: list | None = None
 
 
 def psnr(x, ref, peak=1.0):
@@ -42,16 +41,16 @@ def psnr(x, ref, peak=1.0):
     return float(10.0 * np.log10(peak**2 * x.size / err))
 
 
-def _gaussian_window(size, sigma=1.5):
+def _gaussian_window(size):
     half = (size - 1) / 2.0
-    g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma**2))
+    g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * 1.5**2))
     w = np.outer(g, g)
     return w / w.sum()
 
 
-def _ssim_slice(a, b, peak, k1=0.01, k2=0.03):
-    # 11x11 Gaussian window (sigma 1.5), shrunk to fit small slices;
-    # statistics over the valid interior only.
+def _ssim_slice(a, b, peak):
+    # 11x11 Gaussian window (sigma 1.5), shrunk to fit small slices, and
+    # the usual K1 = 0.01, K2 = 0.03; statistics over the valid interior only.
     win = min(11, a.shape[0], a.shape[1])
     if win % 2 == 0:
         win -= 1
@@ -65,8 +64,8 @@ def _ssim_slice(a, b, peak, k1=0.01, k2=0.03):
     var_a = filt(a * a) - mu_a**2
     var_b = filt(b * b) - mu_b**2
     cov = filt(a * b) - mu_a * mu_b
-    c1 = (k1 * peak) ** 2
-    c2 = (k2 * peak) ** 2
+    c1 = (0.01 * peak) ** 2
+    c2 = (0.03 * peak) ** 2
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))
@@ -104,11 +103,8 @@ def sam(x, ref):
     return float(np.mean(np.arccos(cos)))
 
 
-def metric_report(x, ref, peak=1.0, per_slice=False):
-    slices = None
-    if per_slice:
-        slices = [psnr(x[:, :, k], ref[:, :, k], peak) for k in range(x.shape[2])]
-    return MetricReport(psnr(x, ref, peak), ssim(x, ref, peak), sam(x, ref), peak, slices)
+def metric_report(x, ref, peak=1.0):
+    return MetricReport(psnr(x, ref, peak), ssim(x, ref, peak), sam(x, ref), peak)
 
 
 @dataclass

@@ -209,16 +209,19 @@ def interpolate_tubes(obs, mask):
     return out
 
 
-def tv_backprojection_init(model, steps=50, shrink=0.05):
+# Smoothing threshold of the sci start per unit of mean absolute residual;
+# at 1/4 or more the smoothing can defeat the back-projection contraction.
+TV_INIT_SHRINK = 0.05
+
+
+def tv_backprojection_init(model, steps=50):
     """Data-consistent start for sci: mask-weighted back-projection of
     the measurement residual with a soft-threshold smoothing of the
     spatial differences after each step.
 
-    The smoothing threshold is tied to the current residual magnitude,
-    so it vanishes as the iteration becomes consistent and noiseless
-    instances can be recovered exactly.  ``shrink`` must stay below 1/4
-    or the smoothing perturbation can defeat the back-projection
-    contraction.
+    The smoothing threshold is ``TV_INIT_SHRINK`` times the current
+    mean absolute residual, so it vanishes as the iteration becomes
+    consistent and noiseless instances can be recovered exactly.
     """
     mask = model.mask
     meas = model.measurement
@@ -227,7 +230,7 @@ def tv_backprojection_init(model, steps=50, shrink=0.05):
     for _ in range(steps):
         r = meas - sci_measure(x, mask)
         x = x + mask * (r / weight)[:, :, None]
-        v = shrink * float(np.abs(r).mean())
+        v = TV_INIT_SHRINK * float(np.abs(r).mean())
         if v > 0.0:
             for p in (1, 2):
                 d = diff_p(x, p)
@@ -244,23 +247,22 @@ def init_observation(model):
     return tv_backprojection_init(model)
 
 
-def synth_low_tubal_rank(dims, rank, seed=0, smoothness=1.0):
+def synth_low_tubal_rank(dims, rank, seed=0):
     """Synthetic ground truth of tubal rank at most ``rank``.
 
     A t-product of two Gaussian factors, low-pass filtered along mode 3
-    (per-DFT-slice scaling keeps the tubal rank exact) so the tubes look
-    like the smooth spectra / frame sequences the solvers target, then
-    scaled to unit max magnitude (a shift would not preserve the rank).
-    ``smoothness=0`` disables the filtering.
+    with a Gaussian of width ``n3 / 8`` in frequency (per-DFT-slice
+    scaling keeps the tubal rank exact) so the tubes look like the
+    smooth spectra / frame sequences the solvers target, then scaled to
+    unit max magnitude (a shift would not preserve the rank).
     """
     n1, n2, n3 = dims
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n1, rank, n3))
     b = rng.standard_normal((rank, n2, n3))
     x = t_product(a, b)
-    if smoothness > 0.0:
-        freq = np.minimum(np.arange(n3), n3 - np.arange(n3))
-        lowpass = np.exp(-((freq / (smoothness * n3 / 8.0)) ** 2))
-        x = np.fft.ifft(np.fft.fft(x, axis=2) * lowpass[None, None, :], axis=2).real
+    freq = np.minimum(np.arange(n3), n3 - np.arange(n3))
+    lowpass = np.exp(-((freq / (n3 / 8.0)) ** 2))
+    x = np.fft.ifft(np.fft.fft(x, axis=2) * lowpass[None, None, :], axis=2).real
     peak = np.abs(x).max()
     return x / peak if peak > 0 else x

@@ -15,7 +15,7 @@ stopping.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class SolverConfig:
         Activation(self.activation, self.slope)  # rejects an unknown kind or a bad slope
 
 
-def default_config(kind, dims, **overrides):
+def default_config(kind, dims):
     """Documented defaults per problem kind for a tensor of shape ``dims``.
 
     With ``N = n1*n2*n3``: the low-rank weight is ``1e-7 * N`` for
@@ -97,16 +97,7 @@ def default_config(kind, dims, **overrides):
     """
     n = int(np.prod(dims))
     lam = {"tc": 1e-7, "rtc": 1e-7, "bs": 1e-3, "sci": 1e-5}[kind] * n
-    cfg = SolverConfig(
-        lam=lam,
-        tau=0.01 * n,
-        beta=1.0,
-        t_max=7000,
-        width=2 * int(dims[2]),
-        p=2,
-        q=2,
-    )
-    return replace(cfg, **overrides) if overrides else cfg
+    return SolverConfig(lam=lam, tau=0.01 * n, t_max=7000, width=2 * int(dims[2]))
 
 
 @dataclass
@@ -131,7 +122,6 @@ class AdmmState:
     v2: np.ndarray
     l1: np.ndarray
     l2: np.ndarray
-    iter: int = 0
 
 
 @dataclass
@@ -209,7 +199,6 @@ def _solve(model, cfg, x0, admm):
             rel_v = _rel_change([v1, v2], [admm.v1, admm.v2])
             admm.v1, admm.v2 = v1, v2
             admm.l1, admm.l2 = multiplier_update(admm, x, cfg)
-            admm.iter = it + 1
         history.append(Diagnostics(it, _rel_change(params.weights(), old), rel_v, loss))
     if history and history[-1].loss.total > history[0].loss.total:
         warnings.warn("loss increased over the run", RuntimeWarning)

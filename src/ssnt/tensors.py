@@ -5,11 +5,11 @@ A third-order tensor is an ordinary ``numpy.ndarray`` of shape
 ``k``-th frontal slice is ``t[:, :, k]`` and the ``(i, j)``-th tube is
 ``t[i, j, :]``.  Complex tensors appear only on the DFT path.
 
-Fixed conventions (every operator here agrees with them):
+Fixed conventions:
 
-* ``unfold3`` produces an ``n3 x (n1*n2)`` matrix whose column index
-  enumerates ``(i, j)`` pairs with ``i`` fastest, i.e. column
-  ``j*n1 + i`` holds the tube at ``(i, j)``.
+* ``unfold3`` produces an ``n3 x (n1*n2)`` matrix whose column ``j*n1 + i``
+  holds the tube at ``(i, j)`` (``i`` fastest).  No solve calls it: the
+  solvers and the container use slice order (``k``, ``i``, ``j``).
 * The mode-3 DFT is the unnormalized forward transform with a
   ``1/n3``-scaled inverse (numpy's default), so the tensor nuclear norm
   computed here depends on that scale.
@@ -148,20 +148,25 @@ def from_half_spectrum(slices, n3):
     return np.fft.irfft(np.moveaxis(slices, 0, 2), n=n3, axis=2)
 
 
-def tnn(t):
-    """Tensor nuclear norm: sum of nuclear norms of the DFT-domain slices.
-
-    Conjugate slices share their singular values, so only slices
-    ``0..n3//2`` are decomposed; all but the DC slice and (for even
-    ``n3``) the Nyquist slice count twice.
-    """
-    t = _as_tensor(t)
-    n3 = t.shape[2]
+def _conjugate_weights(n3):
+    """How often each DFT slice ``0..n3//2`` occurs in the full spectrum:
+    once for DC and (even ``n3``) Nyquist, else twice with its conjugate."""
     weights = np.full(n3 // 2 + 1, 2.0)
     weights[0] = 1.0
     if n3 % 2 == 0:
         weights[-1] = 1.0
-    return float(weights @ half_spectrum_svd(t, compute_uv=False).sum(axis=1))
+    return weights
+
+
+def tnn(t):
+    """Tensor nuclear norm: sum of nuclear norms of the DFT-domain slices.
+
+    Conjugate slices share their singular values, so only slices
+    ``0..n3//2`` are decomposed, each weighted by how often it occurs.
+    """
+    t = _as_tensor(t)
+    s = half_spectrum_svd(t, compute_uv=False)
+    return float(_conjugate_weights(t.shape[2]) @ s.sum(axis=1))
 
 
 def identity_tensor(n, n3):
@@ -221,12 +226,14 @@ def t_svd(a):
     return tuple(from_half_spectrum(f, n3) for f in (uhat, shat, vhat))
 
 
-def tubal_rank(a, eps=EPS_RANK):
+def tubal_rank(a):
     """Number of singular tubes of the t-SVD with Frobenius norm above
-    ``eps`` times the largest tube norm."""
-    _, s, _ = t_svd(a)
-    r = min(s.shape[0], s.shape[1])
-    tube_norms = np.array([np.linalg.norm(s[i, i, :]) for i in range(r)])
-    if tube_norms.size == 0:
-        return 0
-    return int(np.count_nonzero(tube_norms > eps * tube_norms.max()))
+    ``EPS_RANK`` times the largest tube norm.
+
+    By Parseval, ``n3`` times the squared norm of tube ``i`` is the sum of
+    every DFT slice's squared ``i``-th singular value; no factor is built.
+    """
+    a = _as_tensor(a)
+    s = half_spectrum_svd(a, compute_uv=False)
+    tube_norms = np.sqrt(_conjugate_weights(a.shape[2]) @ s**2)
+    return int(np.count_nonzero(tube_norms > EPS_RANK * tube_norms.max(initial=0.0)))

@@ -13,6 +13,10 @@ from ssnt.problems import SamplingSpec, degrade, synth_low_tubal_rank
 from ssnt.solvers import default_config, solve_ssnt
 
 
+# The output flags of robust-complete, the solver command with the most.
+SOLVER_OUTPUTS = ("--out", "--sparse", "--save-transform", "--diagnostics", "--manifest")
+
+
 def run(*argv):
     return main([str(a) for a in argv])
 
@@ -409,3 +413,65 @@ class TestFailEarly:
         assert "kind=config" in captured.err and str(bad_file) in captured.err
         assert captured.out == ""
         assert not report.exists()
+
+    @pytest.mark.parametrize("peak", ["0", "-1"])
+    def test_nonpositive_peak_writes_nothing(self, tmp_path, truth_file, peak, capsys):
+        out = tmp_path / "rec.ssnt"
+        diag = tmp_path / "diag.csv"
+        code = run("complete", "--input", truth_file, "--sr", "0.5", "--tmax", "2",
+                   "--out", out, "--diagnostics", diag, "--peak", peak)
+        assert code == 5
+        assert "peak must be positive" in capsys.readouterr().err
+        assert not out.exists() and not diag.exists()
+
+    @pytest.mark.parametrize("flag", ["--tau", "--beta"])
+    def test_tv_weight_without_tv_writes_nothing(self, tmp_path, truth_file, flag, capsys):
+        out = tmp_path / "rec.ssnt"
+        code = run("complete", "--input", truth_file, "--sr", "0.5", "--tmax", "2",
+                   "--out", out, flag, "0.2")
+        assert code == 5
+        assert "need --tv" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [("accegy",), ("accegy", "--dft"), ("convert", "--to-csv")],
+        ids=["accegy", "accegy-dft", "convert-to-csv"],
+    )
+    def test_nonfinite_input_writes_nothing(self, tmp_path, truth_file, argv, capsys):
+        t = read_tensor(truth_file)
+        t[2, 3, 1] = np.nan
+        bad = tmp_path / "nan.ssnt"
+        write_tensor(bad, t)
+        out = tmp_path / "out.csv"
+        assert run(*argv, bad, "--out", out) == 5
+        err = capsys.readouterr().err
+        assert "kind=config" in err and str(bad) in err and "non-finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", SOLVER_OUTPUTS)
+    def test_output_in_missing_directory_writes_nothing(self, tmp_path, truth_file, flag, capsys):
+        paths = {name: tmp_path / f"{name[2:]}.out" for name in SOLVER_OUTPUTS}
+        missing = paths[flag] = tmp_path / "no" / "such.out"
+        argv = ["robust-complete", "--input", truth_file, "--sr", "0.5", "--tmax", "2"]
+        for name, path in paths.items():
+            argv += [name, path]
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert "kind=io" in err and str(missing) in err and ".ssnt-tmp-" not in err
+        assert not any(path.exists() for path in paths.values())
+
+    @pytest.mark.parametrize("command", ["degrade", "convert"])
+    def test_second_output_in_missing_directory(self, tmp_path, truth_file, command, capsys):
+        first = tmp_path / "first.ssnt"
+        missing = tmp_path / "no" / "second"
+        if command == "degrade":
+            argv = ("degrade", "--kind", "tc", "--input", truth_file, "--sr", "0.5",
+                    "--obs", first, "--mask", missing)
+        else:
+            csv_path = tmp_path / "raw.csv"
+            csv_path.write_text("0.5\n" * 8)
+            argv = ("convert", "--from-csv", csv_path, "--dims", "2,2,2",
+                    "--out", first, "--manifest", missing)
+        assert run(*argv) == 3
+        assert str(missing) in capsys.readouterr().err
+        assert not first.exists()

@@ -87,6 +87,13 @@ class TestTensorFile:
         with pytest.raises(FileNotFoundError):
             read_tensor(tmp_path / "nope.ssnt")
 
+    def test_missing_directory_names_the_path(self, tmp_path):
+        path = tmp_path / "no" / "t.ssnt"
+        with pytest.raises(FileNotFoundError) as err:
+            write_tensor(path, np.zeros((1, 1, 1)))
+        assert err.value.filename == str(path)
+        assert not (tmp_path / "no").exists()
+
     def test_rejects_non_third_order(self, tmp_path):
         with pytest.raises(ValueError):
             write_tensor(tmp_path / "t.ssnt", np.zeros((2, 2)))

@@ -1,6 +1,8 @@
 """Quality metrics, the energy-compaction curve and the convex
 completion baseline."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -94,12 +96,12 @@ class TestSam:
 
 
 class TestMetricReport:
-    def test_bundles_and_per_slice(self):
+    def test_bundles_the_csv_row(self):
         x = np.random.default_rng(8).uniform(0, 1, (9, 9, 3))
-        rep = metric_report(x, x, per_slice=True)
+        rep = metric_report(x, x)
         assert rep.psnr == float("inf") and rep.ssim == pytest.approx(1.0)
         assert rep.sam == pytest.approx(0.0, abs=1e-7)
-        assert rep.per_slice == [float("inf")] * 3
+        assert list(asdict(rep)) == ["psnr", "ssim", "sam", "peak"]
 
 
 class TestAccEgy:

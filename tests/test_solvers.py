@@ -357,7 +357,7 @@ class TestSolveSsntTv:
         x0 = init_observation(model)
         admm0 = AdmmState(diff_p(x0, 1), diff_p(x0, 2), np.zeros(x0.shape), np.zeros(x0.shape))
         solve_ssnt_tv(model, cfg, x0=x0, admm0=admm0)
-        assert len(updates) == 3 and admm0.iter == 3
+        assert len(updates) == 3
         for got, last in zip((admm0.v1, admm0.v2, admm0.l1, admm0.l2), updates[-1]):
             assert got is last
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ssnt.tensors import (
+    EPS_RANK,
     conj_transpose,
     dft_mode3,
     diff_p,
@@ -263,6 +264,17 @@ class TestTProductFamily:
 
     def test_tubal_rank_of_zero(self):
         assert tubal_rank(np.zeros((3, 3, 2))) == 0
+
+    @pytest.mark.parametrize("n3", [1, 5, 6])
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3, 4])
+    def test_tubal_rank_equals_the_factor_count(self, rank, n3):
+        """The half-spectrum count equals counting the tube norms of the
+        t-SVD factor S, on tensors of exact tubal rank 0-4."""
+        a = t_product(rand((7, rank, n3), 30 + rank), rand((rank, 6, n3), 40 + n3))
+        _, s, _ = t_svd(a)
+        norms = np.array([np.linalg.norm(s[i, i, :]) for i in range(min(s.shape[:2]))])
+        expected = int(np.count_nonzero(norms > EPS_RANK * norms.max()))
+        assert tubal_rank(a) == expected == rank
 
 
 class TestHalfSpectrum:
