@@ -46,7 +46,6 @@ from .tensors import (
     dft_mode3,
     diff_p,
     diff_p_adj,
-    fold3,
     identity_tensor,
     mode3_product,
     nuclear_norm,
@@ -55,7 +54,6 @@ from .tensors import (
     t_svd,
     tnn,
     tubal_rank,
-    unfold3,
 )
 
 __version__ = "0.1.0"

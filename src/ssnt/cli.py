@@ -13,9 +13,12 @@ degrade at ``--sr`` and, unless ``--ref`` is given, the metrics
 reference; for ``subtract`` it is the video.  ``--ref`` is read, and
 its shape and values checked, before the solve; ``metrics``,
 ``accegy`` and ``convert --to-csv`` check their input files the same
-way.  ``--tau`` and ``--beta`` need ``--tv``.  ``convert`` takes
-exactly one of ``--from-csv`` (with ``--dims``) and ``--to-csv``, and
-rejects a CSV holding NaN or inf.  A malformed ``--dims`` or
+way.  ``--peak`` must be finite and positive, and the solver commands
+check it before reading any input.  ``--tau`` and ``--beta`` need
+``--tv``.  ``degrade`` needs ``--mask`` for every kind but ``bs``,
+which has no mask and rejects it.  ``convert`` takes exactly one of
+``--from-csv`` (with ``--dims``) and ``--to-csv``, and rejects a CSV
+holding NaN or inf.  A malformed ``--dims`` or
 ``--layers`` is a usage error.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 malformed tensor
@@ -41,7 +44,7 @@ from .fileio import (
     write_csv,
     write_tensor,
 )
-from .metrics import acc_egy, metric_report, tnn_baseline_complete
+from .metrics import acc_egy, check_peak, metric_report, tnn_baseline_complete
 from .network import forward_f
 from .problems import (
     ObservationModel,
@@ -196,6 +199,7 @@ def _run_solver(args):
     ``--input`` was degraded from.
     """
     kind = args.kind
+    check_peak(args.peak)
     outputs = {"x": args.out, "sparse": args.sparse, "transform": args.save_transform}
     _check_out_dirs(*outputs.values(), args.diagnostics, args.manifest)
     model, ref = _observe(kind, args)
@@ -243,6 +247,8 @@ def _cmd_synth(args):
 def _cmd_degrade(args):
     if args.kind != "bs" and args.mask is None:
         raise ValueError(f"{args.kind} degradation needs --mask to store the mask")
+    if args.kind == "bs" and args.mask is not None:
+        raise ValueError("bs degradation has no mask: the video is observed whole; drop --mask")
     _check_out_dirs(args.obs, args.mask)
     model, _ = _degrade_input(args.kind, args)
     write_tensor(args.obs, model.measurement[:, :, None] if args.kind == "sci" else model.measurement)

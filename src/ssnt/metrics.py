@@ -27,14 +27,19 @@ class MetricReport:
     peak: float = 1.0
 
 
+def check_peak(peak):
+    """Reject a dynamic range that is not finite and positive."""
+    if not 0.0 < peak < np.inf:
+        raise ValueError(f"peak must be positive and finite, got {peak!r}")
+
+
 def psnr(x, ref, peak=1.0):
     """Peak signal-to-noise ratio ``10*log10(peak^2 * N / ||x - ref||_F^2)``."""
     x = np.asarray(x)
     ref = np.asarray(ref)
     if x.shape != ref.shape:
         raise ValueError("shape mismatch")
-    if peak <= 0:
-        raise ValueError("peak must be positive")
+    check_peak(peak)
     err = float(np.vdot(x - ref, x - ref).real)
     if err == 0.0:
         return float("inf")

@@ -18,16 +18,20 @@ singular vectors of each slice (singular values below
 ``EPS_RANK * sigma_max`` truncated); the truncated factors are treated
 as constants of the step.
 
-The hot path holds tensors slice-major (:class:`SliceStack`): a layer
-is one ``W @ X`` on a ``(channels, n1*n2)`` matrix and the transformed
-slices form one contiguous ``(width, n1, n2)`` stack for the batched
-SVD.  The forward tape holds each layer's slice-major input and
-pre-activation matrices, the form the backward pass consumes.  The SVD
-stack runs in chunks on ``max(1, cpus // blas_threads)`` threads,
-where ``blas_threads`` is what BLAS reads from
-``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` (all usable cpus when
-neither is set), so BLAS's own threads are never oversubscribed.
-Results do not depend on the thread count.
+Every function takes and returns plain ``(n1, n2, c)`` arrays.  The
+hot path holds them slice-major: a layer is one ``W @ X`` on the
+C-contiguous ``(c, n1*n2)`` matrix whose row ``k`` is frontal slice
+``k``, and a stack returns the ``(n1, n2, c)`` view of its output
+matrix.  So ``f``'s output enters ``g`` without a copy, and
+``np.moveaxis(y, 2, 0)`` is the contiguous ``(width, n1, n2)`` stack
+the batched SVD takes.  Such a view is not C-contiguous; callers that
+need C order use ``np.ascontiguousarray``.  The forward tape holds
+each layer's slice-major input and pre-activation matrices, the form
+the backward pass consumes.  The SVD stack runs in chunks on
+``max(1, cpus // blas_threads)`` threads, where ``blas_threads`` is
+what BLAS reads from ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``
+(all usable cpus when neither is set), so BLAS's own threads are never
+oversubscribed.  Results do not depend on the thread count.
 """
 
 import os
@@ -133,67 +137,44 @@ def init_weights(n3, cfg):
     return NetworkParams(layers[: cfg.p], layers[cfg.p:])
 
 
-@dataclass(frozen=True)
-class SliceStack:
-    """A tensor held slice-major: ``data[k]`` is frontal slice ``k``
-    flattened row-major, so ``data`` is ``(n3, n1*n2)`` and a mode-3
-    product is the single matmul ``W @ data``."""
-
-    data: np.ndarray
-    n1: int
-    n2: int
-
-    @classmethod
-    def from_tensor(cls, t):
-        t = np.asarray(t)
-        if t.ndim != 3:
-            raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
-        n1, n2, n3 = t.shape
-        return cls(np.ascontiguousarray(np.moveaxis(t, 2, 0)).reshape(n3, n1 * n2), n1, n2)
-
-    @property
-    def channels(self):
-        return self.data.shape[0]
-
-    def like(self, data):
-        """A stack of the same spatial size holding ``data``."""
-        return SliceStack(data, self.n1, self.n2)
-
-    def slices(self):
-        """The ``(n3, n1, n2)`` view of the frontal slices."""
-        return self.data.reshape(-1, self.n1, self.n2)
-
-    def to_tensor(self):
-        """The ``(n1, n2, n3)`` tensor, C-contiguous."""
-        return np.ascontiguousarray(self.slices().transpose(1, 2, 0))
+def _slices(t):
+    """The C-contiguous ``(c, n1*n2)`` matrix of an ``(n1, n2, c)``
+    tensor: row ``k`` is frontal slice ``k`` flattened row-major.  No
+    copy is made when ``t`` is already a view of such a matrix."""
+    t = np.asarray(t)
+    if t.ndim != 3:
+        raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
+    n1, n2, c = t.shape
+    return np.ascontiguousarray(np.moveaxis(t, 2, 0)).reshape(c, n1 * n2)
 
 
-def _as_stack(t):
-    return t if isinstance(t, SliceStack) else SliceStack.from_tensor(t)
+def _tensor(m, n1, n2):
+    """The ``(n1, n2, c)`` view of a slice-major ``(c, n1*n2)`` matrix."""
+    return np.moveaxis(m.reshape(-1, n1, n2), 0, 2)
 
 
 def _run_stack(t, layers):
-    """Run a layer stack on a tensor or a :class:`SliceStack`.  The
-    result comes back in the input's form; the tape holds each layer's
-    slice-major (input, pre-activation) matrices."""
-    xs = _as_stack(t)
-    if layers and xs.channels != layers[0].weight.shape[1]:
+    """Run a layer stack on an ``(n1, n2, c)`` tensor.  The result is a
+    view of slice-major memory; the tape holds each layer's slice-major
+    (input, pre-activation) matrices."""
+    x = _slices(t)
+    if layers and x.shape[0] != layers[0].weight.shape[1]:
         raise ValueError("input third-mode length does not match the first layer")
     tape = []
-    x = xs.data
     for lay in layers:
         z = lay.weight @ x
         tape.append((x, z))
         x = lay.activation.apply(z)
-    out = xs.like(x)
-    return (out if isinstance(t, SliceStack) else out.to_tensor()), tape
+    n1, n2 = np.shape(t)[:2]
+    return _tensor(x, n1, n2), tape
 
 
 def forward_f(t, params):
     """Apply the forward transform; returns the transformed tensor and
     the tape of cached slice-major (input, pre-activation) matrices
-    needed for reverse mode.  ``t`` is an ``(n1, n2, n3)`` tensor or a
-    :class:`SliceStack`; the result comes back in the same form."""
+    needed for reverse mode.  ``t`` is an ``(n1, n2, n3)`` tensor; the
+    result is an ``(n1, n2, width)`` view of slice-major memory, which
+    :func:`forward_g` takes without a copy."""
     return _run_stack(t, params.f_layers)
 
 
@@ -304,28 +285,28 @@ def nuclear_subgrad(m):
 def loss_and_grad(obs, params, model, cfg, admm=None):
     """Loss and exact reverse-mode weight gradients at ``params``.
 
-    ``obs`` is the (already initialized) network input, a tensor or a
-    :class:`SliceStack` (solvers convert it once per solve); the
-    fidelity term compares the reconstruction ``g(f(obs))`` against the
-    measurement held by ``model``.  With an ADMM state the quadratic
-    penalty ``beta/2 * sum_p ||diff_p(x) - V_p + L_p/beta||_F^2`` is
-    added and reported as ``tv_penalty``.
+    ``obs`` is the (already initialized) ``(n1, n2, n3)`` network input;
+    a view of slice-major memory (solvers make one per solve) enters
+    ``f`` without a copy.  The fidelity term compares the reconstruction
+    ``g(f(obs))`` against the measurement held by ``model``.  With an
+    ADMM state the quadratic penalty
+    ``beta/2 * sum_p ||diff_p(x) - V_p + L_p/beta||_F^2`` is added and
+    reported as ``tv_penalty``.
 
     Returns ``(LossBreakdown, grads)`` where ``grads`` aligns with
     ``params.weights()``.  A non-finite loss aborts with ``FloatingPointError``.
     """
-    xs = _as_stack(obs)
-    y, tape_f = forward_f(xs, params)
+    y, tape_f = forward_f(obs, params)
     x, tape_g = forward_g(y, params)
-    x = x.to_tensor()
-    if not (np.isfinite(y.data).all() and np.isfinite(x).all()):
+    x = np.ascontiguousarray(x)  # the fidelity and TV sums run in C order
+    if not (np.isfinite(y).all() and np.isfinite(x).all()):
         raise FloatingPointError("non-finite network output; check weights and input")
 
     lam = cfg.lam
     l1 = 0.0
     sub = None
     if lam > 0.0:
-        sub, norms = nuclear_subgrad(y.slices())
+        sub, norms = nuclear_subgrad(np.moveaxis(y, 2, 0))
         for v in norms.tolist():  # summed in slice order
             l1 += lam * v
 
@@ -346,7 +327,7 @@ def loss_and_grad(obs, params, model, cfg, admm=None):
         )
 
     del x, y  # dropped before the backward pass to lower peak memory
-    g_x = SliceStack.from_tensor(g_x).data
+    g_x = _slices(g_x)
     grads_g, g_y = _backward_stack(params.g_layers, tape_g, g_x)
     del g_x
     if sub is not None:
@@ -357,8 +338,7 @@ def loss_and_grad(obs, params, model, cfg, admm=None):
 
 
 def reconstruct(obs, params):
-    """Reconstruction ``g(f(obs))`` for a tensor or a :class:`SliceStack`,
-    returned in the same form."""
-    y, _ = forward_f(_as_stack(obs), params)
+    """Reconstruction ``g(f(obs))``, a view of slice-major memory."""
+    y, _ = forward_f(obs, params)
     x, _ = forward_g(y, params)
-    return x if isinstance(obs, SliceStack) else x.to_tensor()
+    return x

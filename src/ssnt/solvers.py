@@ -11,7 +11,10 @@ update and the multipliers a dual ascent step.
 The network is built from the config alone by
 :func:`ssnt.network.init_weights`.  The whole observed tensor is one
 batch, and every solve runs ``t_max`` iterations: there is no early
-stopping.
+stopping.  The loop feeds the network a slice-major view of ``x0``
+made once per solve, and copies each reconstruction to C order before
+the TV updates and :func:`ssnt.problems.assemble`, so the returned
+estimate is C-contiguous.
 """
 
 import warnings
@@ -22,7 +25,6 @@ import numpy as np
 from .network import (
     Activation,
     LossBreakdown,
-    SliceStack,
     init_weights,
     loss_and_grad,
     reconstruct,
@@ -182,8 +184,10 @@ def multiplier_update(admm, x, cfg):
 def _solve(model, cfg, x0, admm):
     """The training loop of both solvers; ``admm`` is ``None`` for the
     plain solver and is otherwise updated in place."""
-    xs = SliceStack.from_tensor(x0)
-    params = init_weights(xs.channels, cfg)
+    # The slice-major view of x0, made once: every forward pass takes it
+    # without a copy.
+    xs = np.moveaxis(np.ascontiguousarray(np.moveaxis(x0, 2, 0)), 0, 2)
+    params = init_weights(xs.shape[2], cfg)
     state = AdamState.zeros(params.weights())
     history = []
     for it in range(cfg.t_max):
@@ -194,7 +198,7 @@ def _solve(model, cfg, x0, admm):
             params = params.with_weights(new)
         rel_v = 0.0
         if admm is not None:
-            x = reconstruct(xs, params).to_tensor()
+            x = np.ascontiguousarray(reconstruct(xs, params))
             v1, v2 = v_update(x, admm, cfg)
             rel_v = _rel_change([v1, v2], [admm.v1, admm.v2])
             admm.v1, admm.v2 = v1, v2
@@ -202,7 +206,7 @@ def _solve(model, cfg, x0, admm):
         history.append(Diagnostics(it, _rel_change(params.weights(), old), rel_v, loss))
     if history and history[-1].loss.total > history[0].loss.total:
         warnings.warn("loss increased over the run", RuntimeWarning)
-    x = assemble(reconstruct(xs, params).to_tensor(), model).x
+    x = assemble(np.ascontiguousarray(reconstruct(xs, params)), model).x
     return x, params, history
 
 

@@ -7,9 +7,7 @@ A third-order tensor is an ordinary ``numpy.ndarray`` of shape
 
 Fixed conventions:
 
-* ``unfold3`` produces an ``n3 x (n1*n2)`` matrix whose column ``j*n1 + i``
-  holds the tube at ``(i, j)`` (``i`` fastest).  No solve calls it: the
-  solvers and the container use slice order (``k``, ``i``, ``j``).
+* A mode-3 product acts on every tube: ``(t x3 a)[i, j, :] = a @ t[i, j, :]``.
 * The mode-3 DFT is the unnormalized forward transform with a
   ``1/n3``-scaled inverse (numpy's default), so the tensor nuclear norm
   computed here depends on that scale.
@@ -32,28 +30,9 @@ def _as_tensor(t):
     return t
 
 
-def unfold3(t):
-    """Mode-3 unfolding: ``(n1, n2, n3) -> (n3, n1*n2)``, columns i-fastest."""
-    t = np.asarray(t)
-    n1, n2, n3 = t.shape
-    return t.reshape(n1 * n2, n3, order="F").T
-
-
-def fold3(m, dims):
-    """Inverse of :func:`unfold3` for the target shape ``dims``.
-
-    Raises ``ValueError`` when the matrix shape is inconsistent with
-    ``dims``.
-    """
-    m = np.asarray(m)
-    n1, n2, n3 = dims
-    if m.shape != (n3, n1 * n2):
-        raise ValueError(f"cannot fold {m.shape} into {dims}")
-    return m.T.reshape(n1, n2, n3, order="F")
-
-
 def mode3_product(t, a):
-    """Mode-3 tensor-matrix product ``t x3 a = fold3(a @ unfold3(t))``.
+    """Mode-3 tensor-matrix product, tube by tube:
+    ``(t x3 a)[i, j, :] = a @ t[i, j, :]``.
 
     ``a`` has shape ``(rows, n3)``; the result has shape
     ``(n1, n2, rows)``.  Works for real or complex ``a``.
@@ -235,5 +214,8 @@ def tubal_rank(a):
     """
     a = _as_tensor(a)
     s = half_spectrum_svd(a, compute_uv=False)
+    top = s.max(initial=0.0)
+    if top > 0.0:
+        s = s / top  # squares neither overflow nor underflow at any scale
     tube_norms = np.sqrt(_conjugate_weights(a.shape[2]) @ s**2)
     return int(np.count_nonzero(tube_norms > EPS_RANK * tube_norms.max(initial=0.0)))

@@ -414,8 +414,16 @@ class TestFailEarly:
         assert captured.out == ""
         assert not report.exists()
 
-    @pytest.mark.parametrize("peak", ["0", "-1"])
-    def test_nonpositive_peak_writes_nothing(self, tmp_path, truth_file, peak, capsys):
+    @pytest.mark.parametrize("peak", ["0", "-1", "nan", "inf"])
+    def test_nonpositive_peak_writes_nothing(self, tmp_path, truth_file, peak, capsys, monkeypatch):
+        """A peak that is not finite and positive fails before any input
+        is read or any solve runs."""
+
+        def never(*args, **kwargs):
+            raise AssertionError("reached past the --peak check")
+
+        monkeypatch.setattr("ssnt.cli.solve_ssnt", never)
+        monkeypatch.setattr("ssnt.cli.read_tensor", never)
         out = tmp_path / "rec.ssnt"
         diag = tmp_path / "diag.csv"
         code = run("complete", "--input", truth_file, "--sr", "0.5", "--tmax", "2",
@@ -423,6 +431,21 @@ class TestFailEarly:
         assert code == 5
         assert "peak must be positive" in capsys.readouterr().err
         assert not out.exists() and not diag.exists()
+
+    @pytest.mark.parametrize("peak", ["0", "-1", "nan", "inf"])
+    def test_metrics_rejects_a_bad_peak(self, tmp_path, truth_file, peak, capsys):
+        report = tmp_path / "report.csv"
+        assert run("metrics", truth_file, truth_file, "--peak", peak, "--out", report) == 5
+        captured = capsys.readouterr()
+        assert "peak must be positive" in captured.err and captured.out == ""
+        assert not report.exists()
+
+    def test_degrade_bs_rejects_a_mask(self, tmp_path, truth_file, capsys):
+        obs, mask = tmp_path / "obs.ssnt", tmp_path / "m.ssnt"
+        code = run("degrade", "--kind", "bs", "--input", truth_file, "--obs", obs, "--mask", mask)
+        assert code == 5
+        assert "bs degradation has no mask" in capsys.readouterr().err
+        assert not obs.exists() and not mask.exists()
 
     @pytest.mark.parametrize("flag", ["--tau", "--beta"])
     def test_tv_weight_without_tv_writes_nothing(self, tmp_path, truth_file, flag, capsys):

@@ -40,8 +40,11 @@ class TestPsnr:
     def test_guards(self):
         with pytest.raises(ValueError):
             psnr(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
-        with pytest.raises(ValueError):
-            psnr(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), peak=0.0)
+
+    @pytest.mark.parametrize("peak", [0.0, -1.0, np.nan, np.inf])
+    def test_peak_must_be_finite_and_positive(self, peak):
+        with pytest.raises(ValueError, match="peak must be positive"):
+            psnr(np.zeros((2, 2, 2)), np.ones((2, 2, 2)), peak=peak)
 
 
 class TestSsim:

@@ -195,10 +195,12 @@ class TestLossAndGrad:
         loss, grads = loss_and_grad(obs, params, model, cfg)
         x = mode3_product(obs, w)
         r = 2.0 * (x - data)
-        from ssnt.tensors import unfold3
 
-        expect_f = unfold3(r) @ unfold3(obs).T
-        expect_g = unfold3(r) @ unfold3(x).T
+        def unfold(t):
+            return np.moveaxis(t, 2, 0).reshape(t.shape[2], -1)
+
+        expect_f = unfold(r) @ unfold(obs).T
+        expect_g = unfold(r) @ unfold(x).T
         assert loss.l2_fidelity == pytest.approx(np.vdot(x - data, x - data))
         assert np.allclose(grads[0], expect_f)
         assert np.allclose(grads[1], expect_g)
@@ -352,24 +354,34 @@ class TestLowrankStep:
         assert network._lowrank_workers() == expect
 
 
-class TestSliceStack:
-    def test_roundtrip_and_layout(self):
-        t = np.random.default_rng(24).standard_normal((3, 4, 5))
-        xs = network.SliceStack.from_tensor(t)
-        assert xs.data.shape == (5, 12) and xs.data.flags.c_contiguous
-        assert np.array_equal(xs.slices()[2], t[:, :, 2])
-        assert np.array_equal(xs.to_tensor(), t)
+def slice_major(t):
+    """The same values as ``t``, held as a view of a slice-major matrix."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(t, 2, 0)), 0, 2)
 
-    def test_forward_forms_agree(self):
-        """Outputs come back in the input's form; the tape is slice-major
-        either way."""
-        obs, params, _, _ = tc_setup((3, 4, 5), 6, seed=25)
-        xs = network.SliceStack.from_tensor(obs)
+
+class TestSliceMajorInput:
+    def test_view_and_c_ordered_input_agree_bitwise(self):
+        """A C-ordered tensor and a slice-major view of the same values
+        give identical bytes; the view enters f without a copy."""
+        obs, params, model, cfg = tc_setup((3, 4, 5), 6, seed=25)
+        view = slice_major(obs)
+        assert not view.flags.c_contiguous
         y, tape = forward_f(obs, params)
-        ys, tape_s = forward_f(xs, params)
-        assert np.array_equal(ys.to_tensor(), y)
-        assert len(tape) == len(tape_s) == len(params.f_layers)
-        for (a, z), (a_s, z_s), lay in zip(tape, tape_s, params.f_layers):
-            assert np.array_equal(a, a_s) and np.array_equal(z, z_s)
+        y_v, tape_v = forward_f(view, params)
+        assert y.shape == (3, 4, 6) and y.tobytes() == y_v.tobytes()
+        assert np.shares_memory(tape_v[0][0], view)
+        assert len(tape) == len(tape_v) == len(params.f_layers)
+        for (a, z), (a_v, z_v), lay in zip(tape, tape_v, params.f_layers):
+            assert a.tobytes() == a_v.tobytes() and z.tobytes() == z_v.tobytes()
             assert z.shape == (lay.weight.shape[0], 3 * 4)
-        assert np.array_equal(reconstruct(xs, params).to_tensor(), reconstruct(obs, params))
+        assert reconstruct(obs, params).tobytes() == reconstruct(view, params).tobytes()
+        (loss, grads), (loss_v, grads_v) = (loss_and_grad(t, params, model, cfg) for t in (obs, view))
+        assert loss == loss_v
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in grads_v]
+
+    def test_f_output_enters_g_without_a_copy(self):
+        obs, params, _, _ = tc_setup((3, 4, 5), 6, seed=26)
+        y, _ = forward_f(obs, params)
+        _, tape_g = forward_g(y, params)
+        assert np.shares_memory(tape_g[0][0], y)
+        assert np.moveaxis(y, 2, 0).flags.c_contiguous

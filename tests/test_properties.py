@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ssnt.fileio import read_tensor, write_tensor
-from ssnt.network import init_weights
+from ssnt.network import forward_f, init_weights, loss_and_grad, reconstruct
 from ssnt.problems import ObservationModel, assemble
 from ssnt.solvers import SolverConfig
-from ssnt.tensors import diff_p, diff_p_adj, fold3, unfold3
+from ssnt.tensors import diff_p, diff_p_adj
 
 PROPS = settings(deadline=None, max_examples=60)
 
@@ -50,9 +50,21 @@ def test_diff_p_adjoint_identity(pair, p):
 
 
 @PROPS
-@given(shapes.flatmap(tensors))
-def test_fold3_inverts_unfold3(t):
-    assert np.array_equal(fold3(unfold3(t), t.shape), t)
+@given(shapes.flatmap(tensors), st.integers(1, 4), st.integers(0, 2**16))
+def test_slice_major_view_gives_the_c_ordered_bytes(t, width, seed):
+    """The network gives the same bytes for a C-ordered tensor and for a
+    slice-major view of the same values."""
+    view = np.moveaxis(np.ascontiguousarray(np.moveaxis(t, 2, 0)), 0, 2)
+    cfg = SolverConfig(lam=0.1, width=width, p=1, q=1, seed=seed)
+    params = init_weights(t.shape[2], cfg)
+    model = ObservationModel("tc", t, np.ones(t.shape))
+    (y, tape), (y_v, tape_v) = forward_f(t, params), forward_f(view, params)
+    assert y.tobytes() == y_v.tobytes()
+    assert [m.tobytes() for pair in tape for m in pair] == [m.tobytes() for pair in tape_v for m in pair]
+    assert reconstruct(t, params).tobytes() == reconstruct(view, params).tobytes()
+    (loss, grads), (loss_v, grads_v) = (loss_and_grad(x, params, model, cfg) for x in (t, view))
+    assert loss == loss_v
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in grads_v]
 
 
 @PROPS

@@ -137,6 +137,7 @@ class TestSolveSsnt:
         xa, pa, ha = solve_ssnt(model, cfg)
         xb, pb, hb = solve_ssnt(model, cfg)
         assert np.array_equal(xa, xb)
+        assert xa.flags.c_contiguous
         for a, b in zip(pa.weights(), pb.weights()):
             assert np.array_equal(a, b)
         assert [d.loss.total for d in ha] == [d.loss.total for d in hb]
@@ -318,7 +319,8 @@ class TestSolveSsntTv:
         truth = synth_low_tubal_rank((6, 6, 4), 2, seed=8)
         model = degrade(truth, "tc", SamplingSpec(sr=0.5, seed=9))
         cfg = SolverConfig(lam=1e-3, tau=0.05, beta=1.0, t_max=20, width=8, seed=10)
-        _, _, history = solve_ssnt_tv(model, cfg)
+        x, _, history = solve_ssnt_tv(model, cfg)
+        assert x.flags.c_contiguous
         assert len(history) == 20
         for d in history:
             assert d.rel_err_weights >= 0.0

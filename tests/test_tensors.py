@@ -1,7 +1,9 @@
-"""Tensor algebra: folding, mode-3 products, norms, prox, differences,
+"""Tensor algebra: mode-3 products, norms, prox, differences,
 DFT-domain quantities and the t-SVD.  Expected values come from
 independent oracles (index loops, naive summation, eigen decompositions,
 grid search) computed inside the tests."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from ssnt.tensors import (
     dft_mode3,
     diff_p,
     diff_p_adj,
-    fold3,
     identity_tensor,
     mode3_product,
     nuclear_norm,
@@ -21,35 +22,11 @@ from ssnt.tensors import (
     t_svd,
     tnn,
     tubal_rank,
-    unfold3,
 )
 
 
 def rand(dims, seed):
     return np.random.default_rng(seed).standard_normal(dims)
-
-
-class TestFolding:
-    def test_roundtrip_identity(self):
-        t = rand((3, 4, 5), 0)
-        assert np.array_equal(fold3(unfold3(t), t.shape), t)
-
-    def test_zeros(self):
-        assert np.array_equal(unfold3(np.zeros((2, 2, 2))), np.zeros((2, 4)))
-
-    def test_index_convention_oracle(self):
-        """Column j*n1 + i of row k must hold t[i, j, k] (i fastest)."""
-        t = rand((3, 4, 5), 1)
-        m = unfold3(t)
-        n1, n2, n3 = t.shape
-        for i in range(n1):
-            for j in range(n2):
-                for k in range(n3):
-                    assert m[k, j * n1 + i] == t[i, j, k]
-
-    def test_fold_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            fold3(np.zeros((5, 11)), (3, 4, 5))
 
 
 class TestMode3Product:
@@ -275,6 +252,15 @@ class TestTProductFamily:
         norms = np.array([np.linalg.norm(s[i, i, :]) for i in range(min(s.shape[:2]))])
         expected = int(np.count_nonzero(norms > EPS_RANK * norms.max()))
         assert tubal_rank(a) == expected == rank
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_tubal_rank_is_scale_safe(self, scale):
+        """Squaring the singular values of a huge or tiny tensor would
+        overflow or underflow; the rank must not depend on the scale."""
+        a = scale * t_product(np.ones((4, 1, 3)), np.ones((1, 4, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tubal_rank(a) == 1
 
 
 class TestHalfSpectrum:
