@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import EPS_RANK, diff_p, diff_p_adj
+from .tensors import EPS_RANK, diff_p, diff_p_adj, sum_squares
 from .problems import fidelity
 
 
@@ -317,7 +317,7 @@ def loss_and_grad(obs, params, model, cfg, admm=None):
         beta = cfg.beta
         for p, v_p, l_p in ((1, admm.v1, admm.l1), (2, admm.v2, admm.l2)):
             r = diff_p(x, p) - v_p + l_p / beta
-            tv += 0.5 * beta * float(np.vdot(r, r).real)
+            tv += 0.5 * beta * sum_squares(r)
             g_x = g_x + beta * diff_p_adj(r, p)
 
     loss = LossBreakdown(l1, l2, tv)

@@ -30,7 +30,7 @@ from .network import (
     reconstruct,
 )
 from .problems import assemble, init_observation
-from .tensors import diff_p, soft_threshold
+from .tensors import diff_p, soft_threshold, sum_squares
 
 # Relative-error denominators are floored here; division by an exactly
 # zero previous iterate never produces inf diagnostics.
@@ -159,7 +159,7 @@ def adam_step(weights, grads, state, cfg):
 def _rel_change(new, old):
     return float(
         sum(
-            np.linalg.norm(n - o) / max(np.linalg.norm(o), REL_ERR_FLOOR)
+            np.sqrt(sum_squares(n - o)) / max(np.sqrt(sum_squares(o)), REL_ERR_FLOOR)
             for n, o in zip(new, old)
         )
     )

@@ -54,6 +54,16 @@ def nuclear_norm(m):
     return float(np.linalg.svd(np.asarray(m), compute_uv=False).sum())
 
 
+def sum_squares(a):
+    """Sum of the squared entries of a real array, as a float.
+
+    numpy's own pairwise sum, not ``np.vdot`` or ``np.linalg.norm``:
+    those call BLAS, which splits a long sum across its threads, so
+    their last bits depend on the thread count.
+    """
+    return float(np.sum(np.square(a)))
+
+
 def soft_threshold(t, v):
     """Entrywise soft-thresholding ``sign(x) * max(|x| - v, 0)``.
 

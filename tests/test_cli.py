@@ -1,12 +1,16 @@
 """Command-line surface: subcommand flows, reproducibility of outputs
 and the exit-code table."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ssnt
 from ssnt.cli import main
 from ssnt.fileio import RunManifest, read_diagnostics, read_tensor, write_tensor
 from ssnt.problems import SamplingSpec, degrade, synth_low_tubal_rank
@@ -35,6 +39,43 @@ class TestSynth:
         run("synth", "--dims", "30,30,16", "--tubal-rank", "2", "--seed", "7", "--out", a)
         run("synth", "--dims", "30,30,16", "--tubal-rank", "2", "--seed", "7", "--out", b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestBlasThreadCount:
+    """Loss, relative-change and metric sums run in numpy, not in BLAS,
+    whose long dot products split across its threads: every output of a
+    seeded solve is the same bytes for any BLAS thread count."""
+
+    def run_with_threads(self, threads, truth, out):
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(ssnt.__file__).parents[1]), env.get("PYTHONPATH")) if p
+        )
+        stdout = b""
+        # 30x30x16 = 14400 entries: above the length at which OpenBLAS
+        # splits a dot product across threads.
+        for argv in (
+            ("complete", "--input", truth, "--sr", "0.5", "--tmax", "3", "--seed", "1",
+             "--out", out / "c.ssnt", "--diagnostics", out / "c.csv"),
+            ("robust-complete", "--input", truth, "--sr", "0.5", "--tmax", "2", "--seed", "1",
+             "--tv", "--tau", "0.2", "--inner-steps", "2",
+             "--out", out / "r.ssnt", "--sparse", out / "s.ssnt", "--diagnostics", out / "r.csv"),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ssnt.cli", *map(str, argv)],
+                env=env, capture_output=True, check=True,
+            )
+            stdout += proc.stdout
+        return stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        truth = tmp_path / "truth.ssnt"
+        assert run("synth", "--dims", "30,30,16", "--seed", "7", "--out", truth) == 0
+        one = self.run_with_threads("1", truth, tmp_path / "one")
+        two = self.run_with_threads("2", truth, tmp_path / "two")
+        assert sorted(one[1]) == ["c.csv", "c.ssnt", "r.csv", "r.ssnt", "s.ssnt"]
+        assert one == two
 
 
 class TestComplete:

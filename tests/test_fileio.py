@@ -3,6 +3,8 @@ diagnostics CSV."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssnt.fileio import (
     FormatError,
@@ -17,11 +19,48 @@ from ssnt.network import LossBreakdown
 from ssnt.solvers import Diagnostics
 
 
+# The chunk length of the vectorised checksum, in bytes.
+CHUNK = 1 << 16
+
+
+def fnv1a64_loop(data):
+    """The byte-serial definition of 64-bit FNV-1a."""
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
 class TestFnv1a:
     def test_known_vectors(self):
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
         assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, 63, 64, 65, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 63, 3 * CHUNK + 77]
+    )
+    def test_equals_the_byte_loop_at_chunk_edges(self, n):
+        data = np.random.default_rng(n).integers(0, 256, n, dtype=np.uint8).tobytes()
+        assert fnv1a64(data) == fnv1a64_loop(data)
+
+    @pytest.mark.parametrize("byte", [0x00, 0xFF])
+    def test_constant_runs_across_chunks(self, byte):
+        data = bytes([byte]) * (CHUNK + 5)
+        assert fnv1a64(data) == fnv1a64_loop(data)
+
+    def test_takes_any_contiguous_buffer(self):
+        values = np.random.default_rng(3).standard_normal(1000)
+        expected = fnv1a64_loop(values.tobytes())
+        assert fnv1a64(values) == fnv1a64(memoryview(values.tobytes())) == expected
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.binary(max_size=4096), st.just(0) | st.integers(CHUNK - 4096, CHUNK))
+    def test_equals_the_byte_loop(self, data, pad):
+        """Random bytes, alone or behind zeros that put them across a
+        chunk boundary."""
+        data = bytes(pad) + data
+        assert fnv1a64(data) == fnv1a64_loop(data)
 
 
 class TestTensorFile:
@@ -64,6 +103,24 @@ class TestTensorFile:
         with pytest.raises(FormatError) as err:
             read_tensor(path)
         assert err.value.reason == "checksum"
+
+    def test_flipped_byte_in_a_late_chunk_is_checksum_error(self, tmp_path):
+        t = np.random.default_rng(3).standard_normal((40, 30, 20))  # 3 chunks and a part
+        path = tmp_path / "t.ssnt"
+        write_tensor(path, t)
+        blob = bytearray(path.read_bytes())
+        blob[31 + 2 * CHUNK + 1000] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as err:
+            read_tensor(path)
+        assert err.value.reason == "checksum"
+
+    def test_trailer_is_the_checksum_of_the_payload(self, tmp_path):
+        t = np.random.default_rng(4).standard_normal((40, 30, 20))
+        path = tmp_path / "t.ssnt"
+        write_tensor(path, t)
+        blob = path.read_bytes()
+        assert int.from_bytes(blob[-8:], "little") == fnv1a64_loop(blob[31:-8])
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "t.ssnt"

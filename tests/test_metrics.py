@@ -49,8 +49,10 @@ class TestPsnr:
 
 class TestSsim:
     def test_self_similarity(self):
-        x = np.random.default_rng(3).uniform(0, 1, (16, 16, 3))
-        assert ssim(x, x) == pytest.approx(1.0, abs=1e-12)
+        rng = np.random.default_rng(3)
+        for shape in ((16, 16, 3), (20, 17, 5)):
+            x = rng.uniform(0, 1, shape)
+            assert ssim(x, x) == 1.0
 
     def test_degradation_lowers_score(self):
         rng = np.random.default_rng(4)
@@ -62,6 +64,32 @@ class TestSsim:
     def test_small_slices_supported(self):
         x = np.random.default_rng(5).uniform(0, 1, (7, 7, 2))
         assert ssim(x, x) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("shape", [(24, 20, 3), (9, 12, 2), (4, 6, 2)])
+    def test_equals_the_two_dimensional_window(self, shape):
+        """The separable filter agrees with the 2-D Gaussian window, slice
+        by slice, to rounding."""
+        rng = np.random.default_rng(7)
+        ref = rng.uniform(0, 1, shape)
+        x = np.clip(ref + 0.1 * rng.standard_normal(shape), 0, 1)
+        win = min(11, shape[0], shape[1])
+        if win % 2 == 0:
+            win -= 1
+        g = np.exp(-((np.arange(win) - (win - 1) / 2) ** 2) / (2 * 1.5**2))
+        w = np.outer(g, g) / np.outer(g, g).sum()
+
+        def filt(img):
+            return np.einsum("ijkl,kl->ij", np.lib.stride_tricks.sliding_window_view(img, (win, win)), w)
+
+        def one_slice(a, b):
+            mu_a, mu_b = filt(a), filt(b)
+            var_a, var_b = filt(a * a) - mu_a**2, filt(b * b) - mu_b**2
+            cov = filt(a * b) - mu_a * mu_b
+            c1, c2 = 0.01**2, 0.03**2
+            return np.mean((2 * mu_a * mu_b + c1) * (2 * cov + c2) / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)))
+
+        expected = np.mean([one_slice(x[:, :, k], ref[:, :, k]) for k in range(shape[2])])
+        assert ssim(x, ref) == pytest.approx(expected, rel=1e-13, abs=1e-15)
 
 
 class TestSam:

@@ -20,6 +20,21 @@ from ssnt.problems import (
 from ssnt.tensors import tubal_rank
 
 
+def interpolate_per_tube(obs, mask):
+    """``interpolate_tubes`` by definition: ``np.interp`` on each tube."""
+    out = obs.copy()
+    fallback = float(obs.sum() / mask.sum()) if mask.sum() > 0 else 0.0
+    grid = np.arange(obs.shape[2])
+    for i in range(obs.shape[0]):
+        for j in range(obs.shape[1]):
+            seen = mask[i, j, :] == 1.0
+            if not seen.any():
+                out[i, j, :] = fallback
+            else:
+                out[i, j, :] = np.interp(grid, grid[seen], obs[i, j, seen])
+    return out
+
+
 class TestSampleMask:
     def test_full_rate(self):
         assert np.array_equal(sample_mask((3, 4, 5), 1.0), np.ones((3, 4, 5)))
@@ -225,6 +240,34 @@ class TestInitObservation:
         filled = interpolate_tubes(obs, mask)
         mean = obs.sum() / mask.sum()
         assert np.allclose(filled[0, 0, :], mean)
+
+    @pytest.mark.parametrize("sr", [0.02, 0.1, 0.5])
+    def test_equals_np_interp_per_tube_bitwise(self, sr):
+        x = np.random.default_rng(47).uniform(0, 1, (20, 24, 31))
+        model = degrade(x, "tc", SamplingSpec(sr=sr, seed=48))
+        filled = interpolate_tubes(model.measurement, model.mask)
+        assert filled.tobytes() == interpolate_per_tube(model.measurement, model.mask).tobytes()
+
+    def test_edge_tubes_bitwise(self):
+        """Empty, full and single-observed tubes, observations only at the
+        ends or side by side, and negative zeros, against np.interp."""
+        rows = [
+            ("0000000", [0.0] * 7),
+            ("1111111", [0.5, -0.0, 2.0, -1.0, 0.25, 3.0, -0.0]),
+            ("1000000", [-0.0] + [0.0] * 6),
+            ("0001000", [0, 0, 0, 1.5, 0, 0, 0]),
+            ("0000001", [0, 0, 0, 0, 0, 0, -2.0]),
+            ("1000001", [-0.0, 0, 0, 0, 0, 0, -0.0]),
+            ("1000001", [1.0, 0, 0, 0, 0, 0, -1e-300]),
+            ("0110110", [0, 0.1, 0.7, 0, 1e300, -1e300, 0]),
+        ]
+        mask = np.array([[[float(c) for c in bits]] for bits, _ in rows])
+        obs = np.array([[values] for _, values in rows]) * mask  # -0.0 * 1.0 stays -0.0
+        filled = interpolate_tubes(obs, mask)
+        assert filled.tobytes() == interpolate_per_tube(obs, mask).tobytes()
+        assert np.signbit(filled[2, 0, :]).all()  # constant from a lone -0.0
+        assert np.signbit(filled[5, 0, [0, 6]]).all() and not np.signbit(filled[5, 0, 1:6]).any()
+        assert filled.flags.c_contiguous and filled is not obs
 
     def test_bs_is_observation(self):
         model = degrade(np.random.default_rng(45).uniform(0, 1, (3, 3, 4)), "bs", SamplingSpec())
