@@ -126,6 +126,8 @@ def write_tensor(path, t):
     t = np.asarray(t, dtype="<f8")
     if t.ndim != 3:
         raise ValueError("only third-order tensors are stored")
+    if 0 in t.shape:
+        raise ValueError(f"a tensor with a zero dimension cannot be stored, got dims {t.shape}")
     n1, n2, n3 = t.shape
     payload = np.ascontiguousarray(t.transpose(2, 0, 1))
     header = MAGIC + struct.pack("<H", FORMAT_VERSION) + struct.pack("<QQQ", n1, n2, n3)

@@ -187,10 +187,14 @@ def tnn_baseline_complete(model, rho=1e-2, iters=200):
     Minimizes the transform-domain nuclear norm subject to agreement on
     the observed entries: a singular-value-thresholding step (threshold
     ``1/rho``), re-imposition of the observed entries, and a multiplier
-    update, for a fixed number of iterations.
+    update, for ``iters >= 0`` iterations at a finite ``rho > 0``.
     """
     if model.kind != "tc":
         raise ValueError("the baseline handles tensor completion only")
+    if not 0.0 < rho < np.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho!r}")
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters!r}")
     mask = model.mask
     obs = model.measurement
     x = obs.copy()

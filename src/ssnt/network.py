@@ -21,13 +21,13 @@ as constants of the step.
 Every function takes and returns plain ``(n1, n2, c)`` arrays.  The
 hot path holds them slice-major: a layer is one ``W @ X`` on the
 C-contiguous ``(c, n1*n2)`` matrix whose row ``k`` is frontal slice
-``k``, and a stack returns the ``(n1, n2, c)`` view of its output
-matrix.  So ``f``'s output enters ``g`` without a copy, and
+``k``.  :func:`forward_f` returns the ``(n1, n2, width)`` view of its
+output matrix, so ``f``'s output enters ``g`` without a copy and
 ``np.moveaxis(y, 2, 0)`` is the contiguous ``(width, n1, n2)`` stack
-the batched SVD takes.  Such a view is not C-contiguous; callers that
-need C order use ``np.ascontiguousarray``.  The forward tape holds
-each layer's slice-major input and pre-activation matrices, the form
-the backward pass consumes.  The SVD stack runs in chunks on
+the batched SVD takes; :func:`forward_g` and :func:`reconstruct`
+return C-ordered arrays.  The forward tape is the slice-major stack
+input, then each layer's output: activation derivatives are read off
+the outputs.  The SVD stack runs in chunks on
 ``max(1, cpus // blas_threads)`` threads, where ``blas_threads`` is
 what BLAS reads from ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``
 (all usable cpus when neither is set), so BLAS's own threads are never
@@ -67,14 +67,14 @@ class Activation:
         # Equals where(z > 0, z, slope * z) because 0 < slope < 1.
         return np.maximum(z, self.slope * z)
 
-    def backprop(self, z, g):
-        """Cotangent at the pre-activation ``z`` from the cotangent ``g``
-        at the output (subgradient 0 at relu kinks)."""
+    def backprop(self, out, g):
+        """Cotangent at the pre-activation from ``g`` at the output ``out``,
+        which is > 0 exactly where the pre-activation is (0 at relu kinks)."""
         if self.kind == "identity":
             return g
         if self.kind == "relu":
-            return g * (z > 0.0)
-        return np.where(z > 0.0, g, self.slope * g)
+            return g * (out > 0.0)
+        return np.where(out > 0.0, g, self.slope * g)
 
 
 @dataclass
@@ -154,33 +154,33 @@ def _tensor(m, n1, n2):
 
 
 def _run_stack(t, layers):
-    """Run a layer stack on an ``(n1, n2, c)`` tensor.  The result is a
-    view of slice-major memory; the tape holds each layer's slice-major
-    (input, pre-activation) matrices."""
+    """Run a layer stack on an ``(n1, n2, c)`` tensor.  Returns the
+    output as a view of slice-major memory and the tape: the stack's
+    slice-major input matrix, then each layer's output matrix."""
     x = _slices(t)
     if layers and x.shape[0] != layers[0].weight.shape[1]:
         raise ValueError("input third-mode length does not match the first layer")
-    tape = []
+    tape = [x]
     for lay in layers:
-        z = lay.weight @ x
-        tape.append((x, z))
-        x = lay.activation.apply(z)
+        x = lay.activation.apply(lay.weight @ x)
+        tape.append(x)
     n1, n2 = np.shape(t)[:2]
     return _tensor(x, n1, n2), tape
 
 
 def forward_f(t, params):
     """Apply the forward transform; returns the transformed tensor and
-    the tape of cached slice-major (input, pre-activation) matrices
-    needed for reverse mode.  ``t`` is an ``(n1, n2, n3)`` tensor; the
+    the tape of ``len(params.f_layers) + 1`` slice-major matrices that
+    reverse mode consumes.  ``t`` is an ``(n1, n2, n3)`` tensor; the
     result is an ``(n1, n2, width)`` view of slice-major memory, which
     :func:`forward_g` takes without a copy."""
     return _run_stack(t, params.f_layers)
 
 
 def forward_g(t, params):
-    """Apply the inverse-role transform (same contract as :func:`forward_f`)."""
-    return _run_stack(t, params.g_layers)
+    """Apply the inverse-role transform; as :func:`forward_f`, but C-ordered."""
+    x, tape = _run_stack(t, params.g_layers)
+    return np.ascontiguousarray(x), tape
 
 
 def _backward_stack(layers, tape, cotangent, input_grad=True):
@@ -189,10 +189,11 @@ def _backward_stack(layers, tape, cotangent, input_grad=True):
     stack input (``None`` when ``input_grad`` is false)."""
     grads = [None] * len(layers)
     g = cotangent
+    out = tape.pop()
     for i in range(len(layers) - 1, -1, -1):
-        x_in, z = tape.pop()  # frees each layer's cache once it is used
-        dz = layers[i].activation.backprop(z, g)
-        grads[i] = dz @ x_in.T
+        dz = layers[i].activation.backprop(out, g)
+        out = tape.pop()  # layer i's input; its output is freed once used
+        grads[i] = dz @ out.T
         g = layers[i].weight.T @ dz if i or input_grad else None
     return grads, g
 
@@ -298,7 +299,6 @@ def loss_and_grad(obs, params, model, cfg, admm=None):
     """
     y, tape_f = forward_f(obs, params)
     x, tape_g = forward_g(y, params)
-    x = np.ascontiguousarray(x)  # the fidelity and TV sums run in C order
     if not (np.isfinite(y).all() and np.isfinite(x).all()):
         raise FloatingPointError("non-finite network output; check weights and input")
 
@@ -326,7 +326,7 @@ def loss_and_grad(obs, params, model, cfg, admm=None):
             f"non-finite loss: lowrank={l1!r} fidelity={l2!r} tv={tv!r}"
         )
 
-    del x, y  # dropped before the backward pass to lower peak memory
+    del x, y  # x is freed before the backward pass; y lives on in the tapes
     g_x = _slices(g_x)
     grads_g, g_y = _backward_stack(params.g_layers, tape_g, g_x)
     del g_x
@@ -338,7 +338,7 @@ def loss_and_grad(obs, params, model, cfg, admm=None):
 
 
 def reconstruct(obs, params):
-    """Reconstruction ``g(f(obs))``, a view of slice-major memory."""
+    """Reconstruction ``g(f(obs))``, C-ordered."""
     y, _ = forward_f(obs, params)
     x, _ = forward_g(y, params)
     return x

@@ -77,8 +77,8 @@ class SamplingSpec:
             raise ValueError("sampling rate must lie in (0, 1]")
         if not 0.0 <= self.noise_sr < 1.0:
             raise ValueError("noise rate must lie in [0, 1)")
-        if self.gauss_sigma < 0.0:
-            raise ValueError("noise sigma must be nonnegative")
+        if not 0.0 <= self.gauss_sigma < np.inf:
+            raise ValueError(f"noise sigma must be finite and nonnegative, got {self.gauss_sigma!r}")
 
 
 def sample_mask(dims, sr, seed=0):
@@ -201,7 +201,7 @@ def interpolate_tubes(obs, mask):
     n3 = obs.shape[2]
     out = np.array(obs, order="C")
     observed = mask.sum()
-    fallback = float(obs.sum() / observed) if observed > 0 else 0.0
+    fallback = float(np.where(mask == 1.0, obs, 0.0).sum() / observed) if observed > 0 else 0.0
     tubes = out.reshape(-1, n3)
     seen = (mask == 1.0).reshape(-1, n3)
     # The narrowest integer type holding the sentinels -1 and n3 and

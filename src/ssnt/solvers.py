@@ -12,9 +12,8 @@ The network is built from the config alone by
 :func:`ssnt.network.init_weights`.  The whole observed tensor is one
 batch, and every solve runs ``t_max`` iterations: there is no early
 stopping.  The loop feeds the network a slice-major view of ``x0``
-made once per solve, and copies each reconstruction to C order before
-the TV updates and :func:`ssnt.problems.assemble`, so the returned
-estimate is C-contiguous.
+made once per solve; reconstructions come back C-ordered, and so does
+the returned estimate.
 """
 
 import warnings
@@ -198,7 +197,7 @@ def _solve(model, cfg, x0, admm):
             params = params.with_weights(new)
         rel_v = 0.0
         if admm is not None:
-            x = np.ascontiguousarray(reconstruct(xs, params))
+            x = reconstruct(xs, params)
             v1, v2 = v_update(x, admm, cfg)
             rel_v = _rel_change([v1, v2], [admm.v1, admm.v2])
             admm.v1, admm.v2 = v1, v2
@@ -206,7 +205,7 @@ def _solve(model, cfg, x0, admm):
         history.append(Diagnostics(it, _rel_change(params.weights(), old), rel_v, loss))
     if history and history[-1].loss.total > history[0].loss.total:
         warnings.warn("loss increased over the run", RuntimeWarning)
-    x = assemble(np.ascontiguousarray(reconstruct(xs, params)), model).x
+    x = assemble(reconstruct(xs, params), model).x
     return x, params, history
 
 

@@ -93,7 +93,11 @@ def gradcheck_instance(dims, width, seed):
         params = init_weights(dims[2], SolverConfig(width=width, seed=s + 2))
         y, tape_f = forward_f(obs, params)
         _, tape_g = forward_g(y, params)
-        pre = np.concatenate([z.ravel() for _, z in tape_f + tape_g])
+        pre = np.concatenate([
+            (lay.weight @ m).ravel()
+            for tape, layers in ((tape_f, params.f_layers), (tape_g, params.g_layers))
+            for m, lay in zip(tape, layers)
+        ])
         if np.abs(pre).min() <= 1e-5 * np.abs(pre).max():
             continue
         ok = True

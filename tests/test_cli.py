@@ -481,6 +481,28 @@ class TestFailEarly:
         assert "peak must be positive" in captured.err and captured.out == ""
         assert not report.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--rho", "0"), ("--rho", "-1"), ("--rho", "nan"), ("--iters", "-3"),
+    ])
+    def test_baseline_rejects_a_bad_rho_or_iters(self, tmp_path, truth_file, flag, value, capsys):
+        obs, mask, out = tmp_path / "obs.ssnt", tmp_path / "mask.ssnt", tmp_path / "rec.ssnt"
+        assert run("degrade", "--kind", "tc", "--input", truth_file, "--sr", "0.5",
+                   "--obs", obs, "--mask", mask) == 0
+        assert run("baseline-tnn", "--obs", obs, "--mask", mask, "--out", out, flag, value) == 5
+        assert f"{flag[2:]} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("degrade", "--kind", "sci", "--sigma", "nan", "--obs", "{out}", "--mask", "{mask}"),
+        ("sci", "--sigma", "inf", "--tmax", "2", "--out", "{out}"),
+    ], ids=["degrade-nan", "sci-inf"])
+    def test_nonfinite_sigma_writes_nothing(self, tmp_path, truth_file, argv, capsys):
+        paths = {"out": tmp_path / "out.ssnt", "mask": tmp_path / "mask.ssnt"}
+        code = run(*(a.format(**paths) for a in argv), "--input", truth_file)
+        assert code == 5
+        assert "sigma must be finite and nonnegative" in capsys.readouterr().err
+        assert not any(p.exists() for p in paths.values())
+
     def test_degrade_bs_rejects_a_mask(self, tmp_path, truth_file, capsys):
         obs, mask = tmp_path / "obs.ssnt", tmp_path / "m.ssnt"
         code = run("degrade", "--kind", "bs", "--input", truth_file, "--obs", obs, "--mask", mask)

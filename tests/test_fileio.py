@@ -18,6 +18,10 @@ from ssnt.fileio import (
 from ssnt.network import LossBreakdown
 from ssnt.solvers import Diagnostics
 
+# numpy warns on uint64 scalar overflow but wraps arrays silently, so a
+# RuntimeWarning fails the test: the checksum must stay on the array path.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 # The chunk length of the vectorised checksum, in bytes.
 CHUNK = 1 << 16
@@ -154,6 +158,13 @@ class TestTensorFile:
     def test_rejects_non_third_order(self, tmp_path):
         with pytest.raises(ValueError):
             write_tensor(tmp_path / "t.ssnt", np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("dims", [(0, 2, 2), (2, 0, 2), (2, 2, 0), (0, 0, 0)])
+    def test_rejects_a_zero_dimension_and_leaves_no_file(self, tmp_path, dims):
+        """The writer refuses what the reader rejects, before any file exists."""
+        with pytest.raises(ValueError, match="zero dimension"):
+            write_tensor(tmp_path / "t.ssnt", np.zeros(dims))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestManifest:

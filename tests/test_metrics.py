@@ -221,6 +221,14 @@ class TestTnnBaseline:
         with pytest.raises(ValueError):
             tnn_baseline_complete(model)
 
+    @pytest.mark.parametrize("name, value", [
+        ("rho", 0.0), ("rho", -1.0), ("rho", np.nan), ("rho", np.inf), ("iters", -3),
+    ])
+    def test_rejects_bad_rho_and_iters(self, name, value):
+        model = degrade(np.random.default_rng(17).uniform(0, 1, (4, 4, 3)), "tc", SamplingSpec(sr=0.5))
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            tnn_baseline_complete(model, **{name: value})
+
 
 class TestTsvt:
     """Slice-wise singular value thresholding from the half spectrum

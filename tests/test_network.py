@@ -46,6 +46,18 @@ class TestActivation:
         assert np.allclose(Activation("relu").apply(z), [0.0, 0.0, 3.0])
         assert np.array_equal(IDENT.apply(z), z)
 
+    @pytest.mark.parametrize("act", [IDENT, Activation("relu"), LEAKY, Activation("leaky_relu", 0.5)],
+                             ids=["identity", "relu", "leaky", "leaky-half"])
+    def test_backprop_from_output_equals_backprop_from_input(self, act):
+        """The derivative read off the output gives the bytes of the one
+        read off the pre-activation, signed zeros, subnormals and extremes
+        included."""
+        tiny = np.finfo(float).smallest_subnormal
+        z = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, 1e-310, -1e-310,
+                      1e300, -1e300, 1.0, -1.0, 2.5, -2.5])
+        g = np.linspace(-3.0, 4.0, z.size)
+        assert act.backprop(act.apply(z), g).tobytes() == act.backprop(z, g).tobytes()
+
 
 class TestInitWeights:
     def test_deterministic(self):
@@ -260,7 +272,25 @@ class TestLossAndGrad:
         obs, params, model, cfg = tc_setup((3, 4, 5), 6, seed=15)
         y, _ = forward_f(obs, params)
         x, _ = forward_g(y, params)
-        assert np.array_equal(reconstruct(obs, params), x)
+        x_r = reconstruct(obs, params)
+        assert x.flags.c_contiguous and x_r.flags.c_contiguous
+        assert x_r.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (3, 1)])
+    def test_tape_is_the_input_then_each_layer_output(self, p, q):
+        """The tape holds ``len(layers) + 1`` slice-major matrices: the
+        stack input, then each layer's output, and no pre-activation."""
+        obs, params, _, _ = tc_setup((3, 4, 5), 6, p=p, q=q, seed=16)
+        y, tape_f = forward_f(obs, params)
+        x, tape_g = forward_g(y, params)
+        for t, tape, layers in ((obs, tape_f, params.f_layers), (y, tape_g, params.g_layers)):
+            assert len(tape) == len(layers) + 1
+            assert tape[0].tobytes() == np.moveaxis(t, 2, 0).tobytes()
+            for m_in, m_out, lay in zip(tape, tape[1:], layers):
+                assert m_out.flags.c_contiguous and m_out.shape == (lay.weight.shape[0], 12)
+                assert m_out.tobytes() == lay.activation.apply(lay.weight @ m_in).tobytes()
+        assert np.moveaxis(y, 2, 0).tobytes() == tape_f[-1].tobytes()
+        assert x.tobytes() == np.moveaxis(tape_g[-1].reshape(5, 3, 4), 0, 2).tobytes()
 
 
 class TestLowrankStep:
@@ -369,11 +399,9 @@ class TestSliceMajorInput:
         y, tape = forward_f(obs, params)
         y_v, tape_v = forward_f(view, params)
         assert y.shape == (3, 4, 6) and y.tobytes() == y_v.tobytes()
-        assert np.shares_memory(tape_v[0][0], view)
-        assert len(tape) == len(tape_v) == len(params.f_layers)
-        for (a, z), (a_v, z_v), lay in zip(tape, tape_v, params.f_layers):
-            assert a.tobytes() == a_v.tobytes() and z.tobytes() == z_v.tobytes()
-            assert z.shape == (lay.weight.shape[0], 3 * 4)
+        assert np.shares_memory(tape_v[0], view)
+        assert len(tape) == len(tape_v) == len(params.f_layers) + 1
+        assert [m.tobytes() for m in tape] == [m.tobytes() for m in tape_v]
         assert reconstruct(obs, params).tobytes() == reconstruct(view, params).tobytes()
         (loss, grads), (loss_v, grads_v) = (loss_and_grad(t, params, model, cfg) for t in (obs, view))
         assert loss == loss_v
@@ -383,5 +411,5 @@ class TestSliceMajorInput:
         obs, params, _, _ = tc_setup((3, 4, 5), 6, seed=26)
         y, _ = forward_f(obs, params)
         _, tape_g = forward_g(y, params)
-        assert np.shares_memory(tape_g[0][0], y)
+        assert np.shares_memory(tape_g[0], y)
         assert np.moveaxis(y, 2, 0).flags.c_contiguous

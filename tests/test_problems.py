@@ -19,11 +19,15 @@ from ssnt.problems import (
 )
 from ssnt.tensors import tubal_rank
 
+# A RuntimeWarning (overflow, invalid value, division by zero) in the
+# degradation or tube interpolation fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def interpolate_per_tube(obs, mask):
     """``interpolate_tubes`` by definition: ``np.interp`` on each tube."""
     out = obs.copy()
-    fallback = float(obs.sum() / mask.sum()) if mask.sum() > 0 else 0.0
+    fallback = float(np.where(mask == 1.0, obs, 0.0).sum() / mask.sum()) if mask.sum() > 0 else 0.0
     grid = np.arange(obs.shape[2])
     for i in range(obs.shape[0]):
         for j in range(obs.shape[1]):
@@ -240,6 +244,10 @@ class TestInitObservation:
         filled = interpolate_tubes(obs, mask)
         mean = obs.sum() / mask.sum()
         assert np.allclose(filled[0, 0, :], mean)
+        # Entries off the mask do not count towards that mean.
+        mask = np.zeros((2, 1, 4))
+        mask[0, 0, :2] = 1.0
+        assert np.array_equal(interpolate_tubes(np.ones((2, 1, 4)), mask), np.ones((2, 1, 4)))
 
     @pytest.mark.parametrize("sr", [0.02, 0.1, 0.5])
     def test_equals_np_interp_per_tube_bitwise(self, sr):
@@ -323,6 +331,13 @@ class TestSynth:
     def test_unit_peak(self):
         x = synth_low_tubal_rank((7, 7, 5), 2, seed=3)
         assert np.abs(x).max() == pytest.approx(1.0)
+
+
+class TestSamplingSpec:
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+    def test_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            SamplingSpec(gauss_sigma=sigma)
 
 
 class TestObservationModelValidation:

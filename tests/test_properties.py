@@ -5,6 +5,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -14,6 +15,10 @@ from ssnt.network import forward_f, init_weights, loss_and_grad, reconstruct
 from ssnt.problems import ObservationModel, assemble, interpolate_tubes
 from ssnt.solvers import SolverConfig
 from ssnt.tensors import diff_p, diff_p_adj
+
+# A RuntimeWarning fails the test: the checksum must stay on numpy's
+# wrapping uint64 array path, and interpolation must not overflow.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 PROPS = settings(deadline=None, max_examples=60)
 
@@ -60,7 +65,7 @@ def test_slice_major_view_gives_the_c_ordered_bytes(t, width, seed):
     model = ObservationModel("tc", t, np.ones(t.shape))
     (y, tape), (y_v, tape_v) = forward_f(t, params), forward_f(view, params)
     assert y.tobytes() == y_v.tobytes()
-    assert [m.tobytes() for pair in tape for m in pair] == [m.tobytes() for pair in tape_v for m in pair]
+    assert [m.tobytes() for m in tape] == [m.tobytes() for m in tape_v]
     assert reconstruct(t, params).tobytes() == reconstruct(view, params).tobytes()
     (loss, grads), (loss_v, grads_v) = (loss_and_grad(x, params, model, cfg) for x in (t, view))
     assert loss == loss_v
@@ -97,7 +102,7 @@ def test_interpolate_tubes_is_np_interp_bit_for_bit(case):
     gives it, bit for bit; tubes with none hold the observed mean."""
     obs, mask = case
     filled = interpolate_tubes(obs, mask)
-    fallback = float(obs.sum() / mask.sum()) if mask.sum() > 0 else 0.0
+    fallback = float(np.where(mask == 1.0, obs, 0.0).sum() / mask.sum()) if mask.sum() > 0 else 0.0
     grid = np.arange(obs.shape[2])
     for i, j in np.ndindex(obs.shape[:2]):
         seen = mask[i, j] == 1.0
