@@ -18,8 +18,8 @@ check it before reading any input.  ``--tau`` and ``--beta`` need
 ``--tv``.  ``degrade`` needs ``--mask`` for every kind but ``bs``,
 which has no mask and rejects it.  ``convert`` takes exactly one of
 ``--from-csv`` (with ``--dims``) and ``--to-csv``, and rejects a CSV
-holding NaN or inf.  A malformed ``--dims`` or
-``--layers`` is a usage error.
+holding NaN or inf.  A malformed ``--dims`` or ``--layers``, a
+negative ``--seed`` and a ``--tubal-rank`` below 1 are usage errors.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 malformed tensor
 file, 5 inconsistent shapes or configuration.  Failures print one
@@ -87,6 +87,26 @@ _parse_dims = _positive_ints("--dims n1,n2,n3", 3)
 _parse_layers = _positive_ints("--layers P,Q", 2)
 
 
+def _int_at_least(low, what):
+    """An argparse type for one integer ``>= low``; argparse names the
+    flag in the error, ``what`` the kind of integer expected."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_parse_seed = _int_at_least(0, "non-negative")
+_parse_rank = _int_at_least(1, "positive")
+
+
 def _read_finite(path):
     """A tensor file that must hold only finite values."""
     t = read_tensor(path)
@@ -118,7 +138,7 @@ def _add_solver_flags(sub):
     sub.add_argument("--tmax", dest="t_max", type=int, default=None, help="outer iterations")
     sub.add_argument("--inner-steps", type=int, default=None,
                      help="Adam steps per outer iteration (--tv only)")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_parse_seed, default=0)
     sub.add_argument("--lr", type=float, default=None, help="Adam learning rate")
     sub.add_argument("--width", type=int, default=None, help="transform interface width")
     sub.add_argument("--slope", type=float, default=None, help="leaky-relu slope")
@@ -324,8 +344,8 @@ def build_parser():
 
     s = sub.add_parser("synth", help="generate synthetic low-tubal-rank ground truth")
     s.add_argument("--dims", type=_parse_dims, required=True, metavar="N1,N2,N3")
-    s.add_argument("--tubal-rank", type=int, default=2)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--tubal-rank", type=_parse_rank, default=2)
+    s.add_argument("--seed", type=_parse_seed, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_synth)
 
@@ -335,7 +355,7 @@ def build_parser():
     s.add_argument("--sr", type=float, default=1.0)
     s.add_argument("--noise-sr", type=float, default=0.0)
     s.add_argument("--sigma", type=float, default=0.0)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_parse_seed, default=0)
     s.add_argument("--obs", required=True)
     s.add_argument("--mask", default=None)
     s.set_defaults(func=_cmd_degrade)

@@ -31,9 +31,13 @@ the outputs.  The SVD stack runs in chunks on
 ``max(1, cpus // blas_threads)`` threads, where ``blas_threads`` is
 what BLAS reads from ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``
 (all usable cpus when neither is set), so BLAS's own threads are never
-oversubscribed.  Results do not depend on the thread count.
+oversubscribed.  In :func:`loss_and_grad` the chunks start as soon as
+``f`` has run, and on more than one thread they run while ``g``'s
+forward and backward passes run on the calling thread.  Results do not
+depend on the thread count.
 """
 
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -60,12 +64,20 @@ class Activation:
             raise ValueError(f"slope must lie in (0, 1) for leaky_relu, got {self.slope!r}")
 
     def apply(self, z):
+        """``act(z)`` as a new array; ``z`` is not written."""
         if self.kind == "identity":
             return z
+        return self.apply_in_place(np.array(z, dtype=np.float64))
+
+    def apply_in_place(self, z):
+        """Overwrite the float64 array ``z`` with ``act(z)`` and return it;
+        the same bytes as :meth:`apply`."""
         if self.kind == "relu":
-            return np.maximum(z, 0.0)
-        # Equals where(z > 0, z, slope * z) because 0 < slope < 1.
-        return np.maximum(z, self.slope * z)
+            np.maximum(z, 0.0, out=z)
+        elif self.kind == "leaky_relu":
+            # Equals where(z > 0, z, slope * z) because 0 < slope < 1.
+            np.maximum(z, np.multiply(z, self.slope), out=z)
+        return z
 
     def backprop(self, out, g):
         """Cotangent at the pre-activation from ``g`` at the output ``out``,
@@ -74,7 +86,17 @@ class Activation:
             return g
         if self.kind == "relu":
             return g * (out > 0.0)
-        return np.where(out > 0.0, g, self.slope * g)
+        # The factor is 1.0 where out > 0 and slope elsewhere, so the result
+        # has the bytes of where(out > 0, g, slope * g): (1 - s) + s rounds
+        # to exactly 1.0 for every double s in (0, 1).  For s >= 1/2,
+        # 1 - s is exact (Sterbenz).  For s < 1/2, fl(1 - s) = 1 - s + e
+        # with |e| <= ulp(1/2)/2 = 2**-54, so the sum is the rounding of
+        # 1 + e; the doubles next to 1 are 1 - 2**-53 and 1 + 2**-52, so
+        # 1 + e rounds to 1, at the tie e = -2**-54 by round-half-even.
+        fac = np.multiply(out > 0.0, 1.0 - self.slope)
+        fac += self.slope
+        fac *= g
+        return fac
 
 
 @dataclass
@@ -162,7 +184,7 @@ def _run_stack(t, layers):
         raise ValueError("input third-mode length does not match the first layer")
     tape = [x]
     for lay in layers:
-        x = lay.activation.apply(lay.weight @ x)
+        x = lay.activation.apply_in_place(lay.weight @ x)
         tape.append(x)
     n1, n2 = np.shape(t)[:2]
     return _tensor(x, n1, n2), tape
@@ -240,13 +262,19 @@ def _subgrad_chunk(stack, sub, norms, lo, hi):
 
 
 def _lowrank_chunks(stack, workers):
-    """Subgradients and nuclear norms of every matrix of a ``(K, r, c)``
-    stack, split into contiguous chunks run on ``workers`` threads.
-    Each matrix is computed the same way whatever the chunking, so the
-    results do not depend on ``workers``."""
+    """Start the subgradients and nuclear norms of every matrix of a
+    ``(K, r, c)`` stack, split into contiguous chunks run on ``workers``
+    threads, and return the join: a call that waits for every chunk and
+    returns ``(sub, norms)``.  With one worker (or one chunk) the chunks
+    run here, before this returns, and no thread is used.  Each matrix is
+    computed the same way whatever the chunking, so the results do not
+    depend on ``workers``.  Until the join returns, ``stack`` must not
+    be written and the results must not be read."""
     k = stack.shape[0]
     sub = np.empty(stack.shape, dtype=np.result_type(stack.dtype, np.float64))
-    norms = np.empty(k)
+    norms = np.zeros(k)
+    if stack.size == 0:
+        return lambda: (sub, norms)
     per_chunk = max(1, _CHUNK_ENTRIES // (stack.shape[1] * stack.shape[2]))
     n = min(k, max(-(-k // per_chunk), workers))
     edges = [k * i // n for i in range(n + 1)]
@@ -254,15 +282,22 @@ def _lowrank_chunks(stack, workers):
     if workers == 1 or n == 1:
         for lo, hi in bounds:
             _subgrad_chunk(stack, sub, norms, lo, hi)
-        return sub, norms
+        return lambda: (sub, norms)
     pool = _EXECUTORS.get(workers)
     if pool is None:
         from concurrent.futures import ThreadPoolExecutor  # only multi-core runs pay its import
 
         pool = _EXECUTORS[workers] = ThreadPoolExecutor(workers, thread_name_prefix="ssnt-svd")
-    for job in [pool.submit(_subgrad_chunk, stack, sub, norms, lo, hi) for lo, hi in bounds]:
-        job.result()
-    return sub, norms
+    jobs = [pool.submit(_subgrad_chunk, stack, sub, norms, lo, hi) for lo, hi in bounds]
+
+    def join():
+        for job in jobs:
+            job.exception()  # waits; a failed chunk still lets the others finish
+        for job in jobs:
+            job.result()
+        return sub, norms
+
+    return join
 
 
 def nuclear_subgrad(m):
@@ -277,9 +312,8 @@ def nuclear_subgrad(m):
     m = np.asarray(m)
     if m.ndim < 2:
         raise ValueError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
-    if m.size == 0:
-        return np.zeros(m.shape, np.result_type(m.dtype, np.float64)), np.zeros(m.shape[:-2])
-    sub, norms = _lowrank_chunks(m.reshape((-1,) + m.shape[-2:]), _LOWRANK_WORKERS)
+    stack = m.reshape((math.prod(m.shape[:-2]),) + m.shape[-2:])
+    sub, norms = _lowrank_chunks(stack, _LOWRANK_WORKERS)()
     return sub.reshape(m.shape), norms.reshape(m.shape[:-2])
 
 
@@ -294,43 +328,52 @@ def loss_and_grad(obs, params, model, cfg, admm=None):
     ``beta/2 * sum_p ||diff_p(x) - V_p + L_p/beta||_F^2`` is added and
     reported as ``tv_penalty``.
 
+    The low-rank step depends on ``f(obs)`` alone: its SVD chunks are
+    started right after ``f`` and joined after ``g``'s backward pass, on
+    every exit.
+
     Returns ``(LossBreakdown, grads)`` where ``grads`` aligns with
     ``params.weights()``.  A non-finite loss aborts with ``FloatingPointError``.
     """
     y, tape_f = forward_f(obs, params)
-    x, tape_g = forward_g(y, params)
-    if not (np.isfinite(y).all() and np.isfinite(x).all()):
+    if not np.isfinite(y).all():
         raise FloatingPointError("non-finite network output; check weights and input")
 
     lam = cfg.lam
+    stack = np.moveaxis(y, 2, 0)
+    # With lam = 0 the low-rank term is 0: start nothing, on an empty stack.
+    join = _lowrank_chunks(stack if lam > 0.0 else stack[:0], _LOWRANK_WORKERS)
+    try:
+        x, tape_g = forward_g(y, params)
+        if not np.isfinite(x).all():
+            raise FloatingPointError("non-finite network output; check weights and input")
+
+        l2, g_x = fidelity(x, model)
+
+        tv = 0.0
+        if admm is not None:
+            beta = cfg.beta
+            for p, v_p, l_p in ((1, admm.v1, admm.l1), (2, admm.v2, admm.l2)):
+                r = diff_p(x, p) - v_p + l_p / beta
+                tv += 0.5 * beta * sum_squares(r)
+                g_x = g_x + beta * diff_p_adj(r, p)
+
+        del x, y, stack  # x is freed before the backward pass; y lives on in the tapes
+        grads_g, g_y = _backward_stack(params.g_layers, tape_g, _slices(g_x))
+        del g_x
+    finally:
+        sub, norms = join()  # no chunk outlives the call
+
     l1 = 0.0
-    sub = None
-    if lam > 0.0:
-        sub, norms = nuclear_subgrad(np.moveaxis(y, 2, 0))
-        for v in norms.tolist():  # summed in slice order
-            l1 += lam * v
-
-    l2, g_x = fidelity(x, model)
-
-    tv = 0.0
-    if admm is not None:
-        beta = cfg.beta
-        for p, v_p, l_p in ((1, admm.v1, admm.l1), (2, admm.v2, admm.l2)):
-            r = diff_p(x, p) - v_p + l_p / beta
-            tv += 0.5 * beta * sum_squares(r)
-            g_x = g_x + beta * diff_p_adj(r, p)
-
+    for v in norms.tolist():  # summed in slice order
+        l1 += lam * v
     loss = LossBreakdown(l1, l2, tv)
     if not np.isfinite(loss.total):
         raise FloatingPointError(
             f"non-finite loss: lowrank={l1!r} fidelity={l2!r} tv={tv!r}"
         )
 
-    del x, y  # x is freed before the backward pass; y lives on in the tapes
-    g_x = _slices(g_x)
-    grads_g, g_y = _backward_stack(params.g_layers, tape_g, g_x)
-    del g_x
-    if sub is not None:
+    if lam > 0.0:
         sub *= lam
         g_y += sub.reshape(g_y.shape)
     grads_f, _ = _backward_stack(params.f_layers, tape_f, g_y, input_grad=False)

@@ -428,6 +428,30 @@ class TestFailEarly:
         assert "--dims" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rank", ["0", "-1", "two"])
+    def test_bad_tubal_rank_is_usage(self, tmp_path, rank, capsys):
+        out = tmp_path / "x.ssnt"
+        assert run("synth", "--dims", "4,4,3", "--tubal-rank", rank, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "--tubal-rank" in err and repr(rank) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "degrade", "complete", "robust-complete",
+                                         "subtract", "sci"])
+    def test_negative_seed_is_usage_before_any_read(self, tmp_path, command, capsys):
+        """The input named here does not exist: exit 2 shows the flag was
+        rejected before any file was read (a read would exit 3)."""
+        missing, out = tmp_path / "missing.ssnt", tmp_path / "x.ssnt"
+        argv = {
+            "synth": ("--dims", "4,4,3", "--out", out),
+            "degrade": ("--kind", "tc", "--input", missing, "--obs", out, "--mask", tmp_path / "m.ssnt"),
+            "subtract": ("--input", missing, "--background", out),
+        }.get(command, ("--input", missing, "--out", out))
+        assert run(command, *argv, "--seed", "-1") == 2
+        err = capsys.readouterr().err
+        assert "argument --seed" in err and "'-1'" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_nonfinite_video_names_the_measurement(self, tmp_path, truth_file, capsys):
         video = read_tensor(truth_file)
         video[1, 1, 1] = np.nan

@@ -4,6 +4,9 @@ differences or layer-by-layer oracles."""
 
 import os
 import sys
+import threading
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from ssnt.network import (
     reconstruct,
 )
 from ssnt.problems import ObservationModel, SamplingSpec, degrade
-from ssnt.solvers import SolverConfig
+from ssnt.solvers import AdmmState, SolverConfig
 from ssnt.tensors import EPS_RANK, mode3_product, nuclear_norm
 
 LEAKY = Activation("leaky_relu", 0.01)
@@ -57,6 +60,23 @@ class TestActivation:
                       1e300, -1e300, 1.0, -1.0, 2.5, -2.5])
         g = np.linspace(-3.0, 4.0, z.size)
         assert act.backprop(act.apply(z), g).tobytes() == act.backprop(z, g).tobytes()
+
+    def test_kernels_match_where_for_random_slopes(self):
+        """The in-place forward and the factor backward give the bytes of
+        ``where(z > 0, z, s * z)`` and ``where(out > 0, g, s * g)`` for
+        any slope in (0, 1), tiny and near-1 ones included."""
+        rng = np.random.default_rng(9)
+        tiny = np.finfo(float).smallest_subnormal
+        slopes = np.concatenate([rng.uniform(0.0, 1.0, 200), 10.0 ** rng.uniform(-300, -1, 50),
+                                 1.0 - 10.0 ** rng.uniform(-16, -1, 50), [tiny, 0.5, np.nextafter(1.0, 0.0)]])
+        z = np.concatenate([rng.standard_normal(64), [0.0, -0.0, tiny, -tiny, 1e300, -1e300]])
+        g = np.concatenate([rng.standard_normal(64) * 1e3, [-0.0, 0.0, tiny, -tiny, 1e-300, -1e300]])
+        for s in slopes[(slopes > 0.0) & (slopes < 1.0)].tolist():
+            act = Activation("leaky_relu", s)
+            assert (1.0 - s) + s == 1.0
+            out = act.apply_in_place(z.copy())
+            assert out.tobytes() == np.where(z > 0, z, s * z).tobytes() == act.apply(z).tobytes()
+            assert act.backprop(out, g).tobytes() == np.where(out > 0, g, s * g).tobytes()
 
 
 class TestInitWeights:
@@ -340,12 +360,12 @@ class TestLowrankStep:
         st = np.random.default_rng(22).standard_normal((13, 40, 30))
         st[4] = 0.0
         monkeypatch.setattr(network, "_CHUNK_ENTRIES", 40 * 30)
-        sub1, norms1 = network._lowrank_chunks(st, 1)
+        sub1, norms1 = network._lowrank_chunks(st, 1)()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for workers in (2, 8):
-                sub, norms = network._lowrank_chunks(st, workers)
+                sub, norms = network._lowrank_chunks(st, workers)()
                 assert sub.tobytes() == sub1.tobytes()
                 assert norms.tobytes() == norms1.tobytes()
         finally:
@@ -363,6 +383,100 @@ class TestLowrankStep:
         (loss1, grads1), (loss2, grads2) = runs
         assert loss1 == loss2
         assert [g.tobytes() for g in grads1] == [g.tobytes() for g in grads2]
+
+    @staticmethod
+    def overlap_setup(case):
+        obs, params, model, cfg = tc_setup((20, 18, 5), 10, seed=24, lam=0.0 if case == "lam0" else 0.05)
+        admm = None
+        if case == "admm":
+            rng = np.random.default_rng(25)
+            admm = AdmmState(*(rng.standard_normal(obs.shape) for _ in range(4)))
+            cfg = replace(cfg, tau=0.1, beta=2.0)
+        return obs, params, model, cfg, admm
+
+    @pytest.mark.parametrize("case", ["tc", "lam0", "admm"])
+    def test_overlapped_step_same_on_any_worker_count(self, monkeypatch, case):
+        """The chunks run while g's passes do; with more workers than
+        cores and a short switch interval the loss and every gradient
+        keep their bytes."""
+        obs, params, model, cfg, admm = self.overlap_setup(case)
+        monkeypatch.setattr(network, "_CHUNK_ENTRIES", 20 * 18)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 8):
+                monkeypatch.setattr(network, "_LOWRANK_WORKERS", workers)
+                loss, grads = loss_and_grad(obs, params, model, cfg, admm)
+                runs.append((loss, [g.tobytes() for g in grads]))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1] == runs[2]
+        assert (runs[0][0].l1_lowrank == 0.0) == (case == "lam0")
+        assert (runs[0][0].tv_penalty > 0.0) == (case == "admm")
+
+    @staticmethod
+    def counted_chunks(monkeypatch, workers=2, fail_first=False):
+        """Run the low-rank step as 10 slow chunks on ``workers`` threads
+        and record the thread each chunk started on and each chunk
+        finished; with ``fail_first`` the first chunk raises at once."""
+        log = {"started": [], "finished": []}
+        lock = threading.Lock()
+        chunk = network._subgrad_chunk
+
+        def slow_chunk(stack, sub, norms, lo, hi):
+            with lock:
+                log["started"].append(threading.current_thread())
+            if fail_first and lo == 0:
+                raise RuntimeError("chunk failed")
+            time.sleep(0.05)
+            chunk(stack, sub, norms, lo, hi)
+            with lock:
+                log["finished"].append(lo)
+
+        monkeypatch.setattr(network, "_subgrad_chunk", slow_chunk)
+        monkeypatch.setattr(network, "_CHUNK_ENTRIES", 20 * 18)
+        monkeypatch.setattr(network, "_LOWRANK_WORKERS", workers)
+        return log
+
+    def test_one_worker_runs_no_thread(self, monkeypatch):
+        obs, params, model, cfg, _ = self.overlap_setup("tc")
+        log = self.counted_chunks(monkeypatch, workers=1)
+        monkeypatch.setattr(network, "_EXECUTORS", {})
+        loss_and_grad(obs, params, model, cfg)
+        assert log["started"] == [threading.current_thread()] * 10
+        assert len(log["finished"]) == 10 and network._EXECUTORS == {}
+
+    def test_nonfinite_g_output_leaves_no_chunk_running(self, monkeypatch):
+        obs, params, model, cfg, _ = self.overlap_setup("tc")
+        bad = [w.copy() for w in params.weights()]
+        bad[len(params.f_layers)][0, 0] = np.inf  # f(obs) stays finite, g(f(obs)) does not
+        params = params.with_weights(bad)
+        y, _ = forward_f(obs, params)
+        assert np.isfinite(y).all()
+        log = self.counted_chunks(monkeypatch)
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="network output"):
+            loss_and_grad(obs, params, model, cfg)
+        assert len(log["started"]) == len(log["finished"]) == 10
+
+    def test_failing_fidelity_leaves_no_chunk_running(self, monkeypatch):
+        obs, params, model, cfg, _ = self.overlap_setup("tc")
+        log = self.counted_chunks(monkeypatch)
+
+        def broken_fidelity(x, model):
+            raise RuntimeError("fidelity failed")
+
+        monkeypatch.setattr(network, "fidelity", broken_fidelity)
+        with pytest.raises(RuntimeError, match="fidelity failed"):
+            loss_and_grad(obs, params, model, cfg)
+        assert len(log["started"]) == len(log["finished"]) == 10
+
+    def test_failing_chunk_is_raised_after_the_others_finish(self, monkeypatch):
+        obs, params, model, cfg, _ = self.overlap_setup("tc")
+        log = self.counted_chunks(monkeypatch, fail_first=True)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            loss_and_grad(obs, params, model, cfg)
+        assert len(log["started"]) == 10 and sorted(log["finished"]) == list(range(1, 10))
 
     @pytest.mark.parametrize("env, expect", [
         ({}, 1),
