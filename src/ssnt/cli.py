@@ -11,10 +11,10 @@ The four solver commands (``complete``, ``robust-complete``,
 observation :func:`_observe` builds.  ``--input`` is a ground truth to
 degrade at ``--sr`` and, unless ``--ref`` is given, the metrics
 reference; for ``subtract`` it is the video.  ``--ref`` is read, and
-its shape and values checked, before the solve; ``metrics``,
-``accegy`` and ``convert --to-csv`` check their input files the same
-way.  ``--peak`` must be finite and positive, and the solver commands
-check it before reading any input.  ``--tau`` and ``--beta`` need
+its shape checked, before the solve.  Every tensor file a command reads
+must hold only finite values; a NaN or inf fails with a message naming
+the file.  ``--peak`` must be finite and positive, and the solver
+commands check it before reading any input.  ``--tau`` and ``--beta`` need
 ``--tv``.  ``degrade`` needs ``--mask`` for every kind but ``bs``,
 which has no mask and rejects it.  ``convert`` takes exactly one of
 ``--from-csv`` (with ``--dims``) and ``--to-csv``, and rejects a CSV
@@ -24,8 +24,9 @@ negative ``--seed`` and a ``--tubal-rank`` below 1 are usage errors.
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 malformed tensor
 file, 5 inconsistent shapes or configuration.  Failures print one
 machine-readable line ``error code=<n> kind=<kind> detail=<...>`` on
-stderr.  Inputs, flags, the metrics and every output's directory are
-checked before the first output is written.
+stderr.  Every command checks its outputs' directories before it
+reads any input, and inputs, flags and the metrics before the first
+output is written.
 """
 
 import argparse
@@ -168,7 +169,7 @@ def _config_from_args(args, kind, dims):
 
 def _degrade_input(kind, args):
     """``--input`` and its observation under ``kind``, simulated at ``--sr``."""
-    truth = read_tensor(args.input)
+    truth = _read_finite(args.input)
     spec = SamplingSpec(sr=args.sr, noise_sr=args.noise_sr, gauss_sigma=args.sigma, seed=args.seed)
     return degrade(truth, kind, spec), truth
 
@@ -181,18 +182,18 @@ def _observe(kind, args):
     ``bs``, where it is the video itself.
     """
     if kind == "bs":
-        return ObservationModel("bs", read_tensor(args.input)), None
+        return ObservationModel("bs", _read_finite(args.input)), None
     if args.input is not None:
         return _degrade_input(kind, args)
     if args.obs is None or args.mask is None:
         obs_flag = "--measurement" if kind == "sci" else "--obs"
         raise ValueError(f"need either --input with --sr, or {obs_flag} with --mask")
-    obs = read_tensor(args.obs)
+    obs = _read_finite(args.obs)
     if kind == "sci":
         if obs.shape[2] != 1:
             raise ValueError("sci measurement file must have dims n1,n2,1")
         obs = obs[:, :, 0]
-    return ObservationModel(kind, obs, read_tensor(args.mask)), None
+    return ObservationModel(kind, obs, _read_finite(args.mask)), None
 
 
 def _check_out_dirs(*paths):
@@ -259,6 +260,7 @@ def _run_solver(args):
 
 
 def _cmd_synth(args):
+    _check_out_dirs(args.out)
     x = synth_low_tubal_rank(args.dims, args.tubal_rank, args.seed)
     write_tensor(args.out, x)
     return EXIT_OK
@@ -278,6 +280,7 @@ def _cmd_degrade(args):
 
 
 def _cmd_metrics(args):
+    _check_out_dirs(args.out)
     x = _read_finite(args.x)
     ref = _read_finite(args.ref)
     peak = float(np.abs(ref).max()) if args.peak_from_ref else args.peak
@@ -288,6 +291,7 @@ def _cmd_metrics(args):
 
 
 def _cmd_accegy(args):
+    _check_out_dirs(args.out)
     t = _read_finite(args.x)
     curve = acc_egy(dft_mode3(t) if args.dft else t)
     rows = zip(curve.fractions.tolist(), curve.energy_ratio.tolist())
@@ -296,7 +300,8 @@ def _cmd_accegy(args):
 
 
 def _cmd_baseline_tnn(args):
-    model = ObservationModel("tc", read_tensor(args.obs), read_tensor(args.mask))
+    _check_out_dirs(args.out)
+    model = ObservationModel("tc", _read_finite(args.obs), _read_finite(args.mask))
     x = tnn_baseline_complete(model, rho=args.rho, iters=args.iters)
     write_tensor(args.out, x)
     return EXIT_OK

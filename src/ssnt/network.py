@@ -14,9 +14,10 @@ frontal slices plus a data-fidelity term; the reconstruction is
 
 Gradients are hand-written reverse mode.  The nuclear-norm term is
 back-propagated through its subgradient ``U_r @ V_r.T`` built from the
-singular vectors of each slice (singular values below
-``EPS_RANK * sigma_max`` truncated); the truncated factors are treated
-as constants of the step.
+singular vectors of each slice (singular values not above
+``EPS_RANK * sigma_max`` truncated, so a zero slice keeps none and its
+subgradient is zero); the truncated factors are treated as constants
+of the step.
 
 Every function takes and returns plain ``(n1, n2, c)`` arrays.  The
 hot path holds them slice-major: a layer is one ``W @ X`` on the
@@ -27,14 +28,18 @@ output matrix, so ``f``'s output enters ``g`` without a copy and
 the batched SVD takes; :func:`forward_g` and :func:`reconstruct`
 return C-ordered arrays.  The forward tape is the slice-major stack
 input, then each layer's output: activation derivatives are read off
-the outputs.  The SVD stack runs in chunks on
-``max(1, cpus // blas_threads)`` threads, where ``blas_threads`` is
-what BLAS reads from ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``
-(all usable cpus when neither is set), so BLAS's own threads are never
-oversubscribed.  In :func:`loss_and_grad` the chunks start as soon as
-``f`` has run, and on more than one thread they run while ``g``'s
-forward and backward passes run on the calling thread.  Results do not
-depend on the thread count.
+the outputs.  Every stack run checks its output: NaN or inf raises
+``FloatingPointError`` from :func:`forward_f`, :func:`forward_g`,
+:func:`reconstruct` and :func:`loss_and_grad` alike.
+
+The SVD stack runs in chunks on ``max(1, cpus // blas_threads)``
+threads, where ``blas_threads`` is what BLAS reads from
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` (all usable cpus when
+neither is set), so BLAS's own threads are never oversubscribed.  In
+:func:`loss_and_grad` the chunks start as soon as ``f`` has run, and on
+more than one thread they run while ``g``'s forward and backward
+passes run on the calling thread.  Results do not depend on the thread
+count.
 """
 
 import math
@@ -63,15 +68,8 @@ class Activation:
         if self.kind == "leaky_relu" and not 0.0 < self.slope < 1.0:
             raise ValueError(f"slope must lie in (0, 1) for leaky_relu, got {self.slope!r}")
 
-    def apply(self, z):
-        """``act(z)`` as a new array; ``z`` is not written."""
-        if self.kind == "identity":
-            return z
-        return self.apply_in_place(np.array(z, dtype=np.float64))
-
     def apply_in_place(self, z):
-        """Overwrite the float64 array ``z`` with ``act(z)`` and return it;
-        the same bytes as :meth:`apply`."""
+        """Overwrite the float64 array ``z`` with ``act(z)`` and return it."""
         if self.kind == "relu":
             np.maximum(z, 0.0, out=z)
         elif self.kind == "leaky_relu":
@@ -178,7 +176,8 @@ def _tensor(m, n1, n2):
 def _run_stack(t, layers):
     """Run a layer stack on an ``(n1, n2, c)`` tensor.  Returns the
     output as a view of slice-major memory and the tape: the stack's
-    slice-major input matrix, then each layer's output matrix."""
+    slice-major input matrix, then each layer's output matrix.  An
+    output holding NaN or inf raises ``FloatingPointError``."""
     x = _slices(t)
     if layers and x.shape[0] != layers[0].weight.shape[1]:
         raise ValueError("input third-mode length does not match the first layer")
@@ -186,6 +185,8 @@ def _run_stack(t, layers):
     for lay in layers:
         x = lay.activation.apply_in_place(lay.weight @ x)
         tape.append(x)
+    if not np.isfinite(x).all():
+        raise FloatingPointError("non-finite network output; check weights and input")
     n1, n2 = np.shape(t)[:2]
     return _tensor(x, n1, n2), tape
 
@@ -195,7 +196,8 @@ def forward_f(t, params):
     the tape of ``len(params.f_layers) + 1`` slice-major matrices that
     reverse mode consumes.  ``t`` is an ``(n1, n2, n3)`` tensor; the
     result is an ``(n1, n2, width)`` view of slice-major memory, which
-    :func:`forward_g` takes without a copy."""
+    :func:`forward_g` takes without a copy.  A result holding NaN or inf
+    raises ``FloatingPointError``."""
     return _run_stack(t, params.f_layers)
 
 
@@ -248,17 +250,14 @@ if hasattr(os, "register_at_fork"):
 def _subgrad_chunk(stack, sub, norms, lo, hi):
     """Fill ``sub[lo:hi]`` and ``norms[lo:hi]`` for ``stack[lo:hi]``.  A
     matrix that keeps all its singular vectors takes ``u @ vh``; any
-    other is recomputed from its kept vectors alone, or set to zero."""
+    other is recomputed from its kept vectors alone.  A zero matrix
+    keeps none, so it gets the empty product: zero."""
     u, s, vh = np.linalg.svd(stack[lo:hi], full_matrices=False)
     norms[lo:hi] = s.sum(axis=-1)
     np.matmul(u, vh, out=sub[lo:hi])
-    top = s[:, 0]
-    keep = s > EPS_RANK * top[:, None]
-    for k in np.flatnonzero(~keep.all(axis=1) | (top <= 0.0)):
-        if top[k] <= 0.0:
-            sub[lo + k] = 0.0
-        else:
-            sub[lo + k] = u[k][:, keep[k]] @ vh[k][keep[k], :]
+    keep = s > EPS_RANK * s[:, :1]
+    for k in np.flatnonzero(~keep.all(axis=1)):
+        sub[lo + k] = u[k][:, keep[k]] @ vh[k][keep[k], :]
 
 
 def _lowrank_chunks(stack, workers):
@@ -333,21 +332,16 @@ def loss_and_grad(obs, params, model, cfg, admm=None):
     every exit.
 
     Returns ``(LossBreakdown, grads)`` where ``grads`` aligns with
-    ``params.weights()``.  A non-finite loss aborts with ``FloatingPointError``.
+    ``params.weights()``.  A non-finite network output or loss aborts
+    with ``FloatingPointError``.
     """
     y, tape_f = forward_f(obs, params)
-    if not np.isfinite(y).all():
-        raise FloatingPointError("non-finite network output; check weights and input")
-
     lam = cfg.lam
     stack = np.moveaxis(y, 2, 0)
     # With lam = 0 the low-rank term is 0: start nothing, on an empty stack.
     join = _lowrank_chunks(stack if lam > 0.0 else stack[:0], _LOWRANK_WORKERS)
     try:
         x, tape_g = forward_g(y, params)
-        if not np.isfinite(x).all():
-            raise FloatingPointError("non-finite network output; check weights and input")
-
         l2, g_x = fidelity(x, model)
 
         tv = 0.0
@@ -381,7 +375,7 @@ def loss_and_grad(obs, params, model, cfg, admm=None):
 
 
 def reconstruct(obs, params):
-    """Reconstruction ``g(f(obs))``, C-ordered."""
+    """Reconstruction ``g(f(obs))``, C-ordered; checked as the forwards are."""
     y, _ = forward_f(obs, params)
     x, _ = forward_g(y, params)
     return x

@@ -452,18 +452,6 @@ class TestFailEarly:
         assert "argument --seed" in err and "'-1'" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_nonfinite_video_names_the_measurement(self, tmp_path, truth_file, capsys):
-        video = read_tensor(truth_file)
-        video[1, 1, 1] = np.nan
-        bad = tmp_path / "video.ssnt"
-        write_tensor(bad, video)
-        background = tmp_path / "bg.ssnt"
-        code = run("subtract", "--input", bad, "--background", background, "--tmax", "2")
-        assert code == 5
-        err = capsys.readouterr().err
-        assert "kind=config" in err and "measurement holds non-finite values" in err
-        assert not background.exists()
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("which", [0, 1])
     def test_metrics_rejects_nonfinite(self, tmp_path, truth_file, bad, which, capsys):
@@ -585,3 +573,71 @@ class TestFailEarly:
         assert run(*argv) == 3
         assert str(missing) in capsys.readouterr().err
         assert not first.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("complete", "--obs"), ("complete", "--mask"), ("complete", "--input"),
+        ("subtract", "--input"), ("degrade", "--input"),
+        ("baseline-tnn", "--obs"), ("baseline-tnn", "--mask"),
+    ], ids=["complete-obs", "complete-mask", "complete-input", "subtract-input",
+            "degrade-input", "baseline-obs", "baseline-mask"])
+    def test_nonfinite_tensor_input_names_the_file(self, tmp_path, truth_file, command, flag, capsys):
+        """A NaN in any tensor the CLI reads exits 5 naming that file, not
+        a measurement the user may never have passed."""
+        obs, mask = tmp_path / "obs.ssnt", tmp_path / "mask.ssnt"
+        assert run("degrade", "--kind", "tc", "--input", truth_file, "--sr", "0.5",
+                   "--obs", obs, "--mask", mask) == 0
+        inputs = {"--obs": obs, "--mask": mask, "--input": truth_file}
+        t = read_tensor(inputs[flag])
+        t[1, 1, 1] = np.nan
+        bad = inputs[flag] = tmp_path / "nan.ssnt"
+        write_tensor(bad, t)
+        out = tmp_path / "out"
+        argv = {
+            "complete": ("--tmax", "2", "--out", out,
+                         *(("--input", bad) if flag == "--input" else
+                           ("--obs", inputs["--obs"], "--mask", inputs["--mask"]))),
+            "subtract": ("--input", bad, "--tmax", "2",
+                         "--background", out, "--foreground", out.with_suffix(".fg")),
+            "degrade": ("--kind", "tc", "--input", bad, "--sr", "0.5",
+                        "--obs", out, "--mask", out.with_suffix(".m")),
+            "baseline-tnn": ("--obs", inputs["--obs"], "--mask", inputs["--mask"], "--out", out),
+        }[command]
+        before = sorted(tmp_path.iterdir())
+        assert run(command, *argv) == 5
+        err = capsys.readouterr().err
+        assert "error code=5 kind=config" in err and f"{bad} holds non-finite values" in err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["synth", "metrics", "accegy", "baseline-tnn"])
+    def test_missing_output_directory_before_any_read(self, tmp_path, command, capsys):
+        """The input named here does not exist either: exit 3 naming the
+        output shows its directory was checked before any file was read."""
+        missing, out = tmp_path / "missing.ssnt", tmp_path / "no" / "out"
+        argv = {
+            "synth": ("--dims", "4,4,3"),
+            "metrics": (missing, missing),
+            "accegy": (missing,),
+            "baseline-tnn": ("--obs", missing, "--mask", missing),
+        }[command]
+        assert run(command, *argv, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "error code=3 kind=io" in err and f"output {out} does not exist" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("complete", "--input", "{truth}", "--sr", "0.5", "--out", "{out}"),
+        ("complete", "--input", "{truth}", "--sr", "0.5", "--tv", "--tau", "0.2", "--out", "{out}"),
+        ("subtract", "--input", "{truth}", "--background", "{out}", "--foreground", "{fg}"),
+    ], ids=["complete", "complete-tv", "subtract"])
+    def test_overflowing_network_writes_nothing(self, tmp_path, argv, capsys):
+        """One Adam step at lr 1e200 overflows the network: the final
+        reconstruction is checked, so the command exits 5 and writes no
+        NaN estimate."""
+        truth = tmp_path / "t.ssnt"
+        assert run("synth", "--dims", "12,10,6", "--out", truth) == 0
+        paths = {"truth": truth, "out": tmp_path / "x.ssnt", "fg": tmp_path / "fg.ssnt"}
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(*(a.format(**paths) for a in argv), "--tmax", "1", "--lr", "1e200")
+        assert code == 5
+        assert "error code=5 kind=config detail='non-finite network output" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [truth]

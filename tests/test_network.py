@@ -31,6 +31,11 @@ LEAKY = Activation("leaky_relu", 0.01)
 IDENT = Activation("identity")
 
 
+def activate(act, z):
+    """``act(z)`` by the in-place kernel on a fresh float64 copy of ``z``."""
+    return act.apply_in_place(np.array(z, dtype=np.float64))
+
+
 def small_net(n3, width, p=2, q=2, act=LEAKY, seed=0):
     cfg = SolverConfig(width=width, p=p, q=q, activation=act.kind, slope=act.slope, seed=seed)
     return init_weights(n3, cfg)
@@ -45,9 +50,10 @@ class TestActivation:
 
     def test_apply(self):
         z = np.array([-2.0, 0.0, 3.0])
-        assert np.allclose(LEAKY.apply(z), [-0.02, 0.0, 3.0])
-        assert np.allclose(Activation("relu").apply(z), [0.0, 0.0, 3.0])
-        assert np.array_equal(IDENT.apply(z), z)
+        assert np.allclose(activate(LEAKY, z), [-0.02, 0.0, 3.0])
+        assert np.allclose(activate(Activation("relu"), z), [0.0, 0.0, 3.0])
+        assert np.array_equal(activate(IDENT, z), z)
+        assert np.array_equal(z, [-2.0, 0.0, 3.0])
 
     @pytest.mark.parametrize("act", [IDENT, Activation("relu"), LEAKY, Activation("leaky_relu", 0.5)],
                              ids=["identity", "relu", "leaky", "leaky-half"])
@@ -59,7 +65,7 @@ class TestActivation:
         z = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, 1e-310, -1e-310,
                       1e300, -1e300, 1.0, -1.0, 2.5, -2.5])
         g = np.linspace(-3.0, 4.0, z.size)
-        assert act.backprop(act.apply(z), g).tobytes() == act.backprop(z, g).tobytes()
+        assert act.backprop(activate(act, z), g).tobytes() == act.backprop(z, g).tobytes()
 
     def test_kernels_match_where_for_random_slopes(self):
         """The in-place forward and the factor backward give the bytes of
@@ -75,7 +81,7 @@ class TestActivation:
             act = Activation("leaky_relu", s)
             assert (1.0 - s) + s == 1.0
             out = act.apply_in_place(z.copy())
-            assert out.tobytes() == np.where(z > 0, z, s * z).tobytes() == act.apply(z).tobytes()
+            assert out.tobytes() == np.where(z > 0, z, s * z).tobytes()
             assert act.backprop(out, g).tobytes() == np.where(out > 0, g, s * g).tobytes()
 
 
@@ -107,11 +113,11 @@ class TestInitWeights:
 class TestForward:
     def test_nofc3_identity(self):
         t = np.random.default_rng(0).standard_normal((3, 4, 5))
-        assert np.array_equal(IDENT.apply(mode3_product(t, np.eye(5))), t)
+        assert np.array_equal(activate(IDENT, mode3_product(t, np.eye(5))), t)
 
     def test_nofc3_leaky_closed_form(self):
         t = -np.ones((1, 1, 2))
-        out = LEAKY.apply(mode3_product(t, np.eye(2)))
+        out = activate(LEAKY, mode3_product(t, np.eye(2)))
         assert np.allclose(out, -0.01)
 
     def test_nofc3_loop_oracle(self):
@@ -120,7 +126,7 @@ class TestForward:
         w = rng.standard_normal((5, 4))
         z = mode3_product(t, w)
         expect = np.where(z > 0, z, 0.01 * z)
-        assert np.allclose(LEAKY.apply(mode3_product(t, w)), expect)
+        assert np.allclose(activate(LEAKY, mode3_product(t, w)), expect)
 
     def test_single_identity_layer(self):
         t = np.random.default_rng(2).standard_normal((3, 3, 4))
@@ -145,7 +151,7 @@ class TestForward:
         out, _ = forward_f(t, params)
         x = t
         for w in ws:
-            x = LEAKY.apply(mode3_product(x, w))
+            x = activate(LEAKY, mode3_product(x, w))
         assert np.allclose(out, x)
 
     def test_scale_covariance(self):
@@ -288,6 +294,34 @@ class TestLossAndGrad:
         with pytest.raises(FloatingPointError):
             loss_and_grad(obs, params.with_weights(bad), model, cfg)
 
+    @staticmethod
+    def overflowing(f_scale, g_scale):
+        """A p=q=2 leaky net whose f and g weights are scaled as given;
+        a scale of 1e200 overflows that stack's output."""
+        obs, params, _, _ = tc_setup((3, 4, 5), 6, seed=17)
+        weights = params.weights()
+        scales = [f_scale] * len(params.f_layers) + [g_scale] * len(params.g_layers)
+        return obs, params.with_weights([c * w for c, w in zip(scales, weights)])
+
+    @pytest.mark.parametrize("run, f_scale, g_scale", [
+        ("forward_f", 1e200, 1.0),
+        ("forward_g", 1.0, 1e200),
+        ("reconstruct", 1e200, 1.0),
+        ("reconstruct", 1.0, 1e200),
+    ], ids=["f", "g", "reconstruct-f", "reconstruct-g"])
+    def test_overflowing_output_raises(self, run, f_scale, g_scale):
+        """Every forward run checks its stack's output, not only the
+        training step."""
+        obs, params = self.overflowing(f_scale, g_scale)
+        call = {"forward_f": lambda: forward_f(obs, params),
+                "forward_g": lambda: forward_g(obs[:, :, :1].repeat(6, axis=2), params),
+                "reconstruct": lambda: reconstruct(obs, params)}[run]
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite network output"):
+            call()
+        finite = self.overflowing(1.0, 1.0)[1]
+        assert np.isfinite(reconstruct(obs, finite)).all()
+
     def test_reconstruct_matches_forwards(self):
         obs, params, model, cfg = tc_setup((3, 4, 5), 6, seed=15)
         y, _ = forward_f(obs, params)
@@ -308,7 +342,7 @@ class TestLossAndGrad:
             assert tape[0].tobytes() == np.moveaxis(t, 2, 0).tobytes()
             for m_in, m_out, lay in zip(tape, tape[1:], layers):
                 assert m_out.flags.c_contiguous and m_out.shape == (lay.weight.shape[0], 12)
-                assert m_out.tobytes() == lay.activation.apply(lay.weight @ m_in).tobytes()
+                assert m_out.tobytes() == activate(lay.activation, lay.weight @ m_in).tobytes()
         assert np.moveaxis(y, 2, 0).tobytes() == tape_f[-1].tobytes()
         assert x.tobytes() == np.moveaxis(tape_g[-1].reshape(5, 3, 4), 0, 2).tobytes()
 
@@ -323,6 +357,32 @@ class TestLowrankStep:
         st[2] = rng.standard_normal((7, 2)) @ rng.standard_normal((2, 6))  # rank 2
         st[5] = 0.0
         return st
+
+    def test_signed_zero_and_subnormal_slices_match_slice_loop(self):
+        """One truncation rule for every slice: a -0.0 slice and a +0.0
+        slice keep no singular vector and give +0.0 bytes, and subnormal
+        slices of full rank and of rank 1 keep theirs, bitwise as the
+        per-slice loop."""
+        tiny = np.finfo(float).smallest_subnormal
+        rng = np.random.default_rng(31)
+        st = rng.standard_normal((7, 6, 5))
+        st[1] = -0.0
+        st[2] = tiny * rng.integers(-1000, 1000, (6, 5))
+        st[3] = tiny * np.outer(rng.integers(1, 9, 6), rng.integers(1, 9, 5))
+        st[4] = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 5))
+        st[5] = 0.0
+        sub, norms = np.empty_like(st), np.zeros(len(st))
+        network._subgrad_chunk(st, sub, norms, 0, len(st))
+        ranks = []
+        for k in range(len(st)):
+            u, s, vh = np.linalg.svd(st[k], full_matrices=False)
+            keep = s > EPS_RANK * s[0]
+            expect = np.zeros_like(st[k]) if s[0] <= 0.0 else u[:, keep] @ vh[keep, :]
+            assert sub[k].tobytes() == expect.tobytes()
+            assert norms[k] == s.sum()
+            ranks.append(int(keep.sum()))
+        assert ranks == [5, 0, 5, 1, 2, 0, 5]
+        assert sub[1].tobytes() == sub[5].tobytes() == np.zeros((6, 5)).tobytes()
 
     def test_norms_match_slice_loop_bitwise(self):
         st = self.stack()
