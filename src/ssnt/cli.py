@@ -442,7 +442,9 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        # Every non-finite result is checked and reported as one error line.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except FormatError as exc:
         return _fail(EXIT_FORMAT, "format", exc)
     except OSError as exc:

@@ -32,23 +32,35 @@ the outputs.  Every stack run checks its output: NaN or inf raises
 ``FloatingPointError`` from :func:`forward_f`, :func:`forward_g`,
 :func:`reconstruct` and :func:`loss_and_grad` alike.
 
-The SVD stack runs in chunks on ``max(1, cpus // blas_threads)``
-threads, where ``blas_threads`` is what BLAS reads from
-``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` (all usable cpus when
-neither is set), so BLAS's own threads are never oversubscribed.  In
-:func:`loss_and_grad` the chunks start as soon as ``f`` has run, and on
-more than one thread they run while ``g``'s forward and backward
-passes run on the calling thread.  Results do not depend on the thread
-count.
+Every public function here, and every solve, runs with BLAS on one
+thread (``ssnt._blas.single_thread``); the library spreads its work
+over its own pool of one thread per usable cpu instead.  In
+:func:`loss_and_grad` the SVD stack runs in chunks on the pool as soon
+as ``f`` has run, while ``g``'s forward and backward passes run on the
+calling thread.  ``f``'s passes, and every stack run while no chunk
+holds the pool, split each large layer product into fixed blocks on the
+pool: ``W @ X``, the activation, its derivative and ``W.T @ dZ`` by
+columns, the weight gradient ``dZ @ X.T`` by rows of ``dZ``, so that
+each entry keeps its whole reduction.  The blocks do not depend on the
+number of threads, and each entry has the bytes of the whole product,
+so results depend neither on the thread count nor on how the
+environment set BLAS.  When no OpenBLAS thread setter is found, BLAS
+keeps the count it read from ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS`` (all usable cpus when neither is set), and the pool
+has ``max(1, cpus // blas_threads)`` threads, so BLAS's own threads are
+never oversubscribed; with one, everything runs on the calling thread.
 """
 
+import contextvars
 import math
 import os
 import re
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _blas
 from .tensors import EPS_RANK, diff_p, diff_p_adj, sum_squares
 from .problems import fidelity
 
@@ -77,24 +89,26 @@ class Activation:
             np.maximum(z, np.multiply(z, self.slope), out=z)
         return z
 
-    def backprop(self, out, g):
-        """Cotangent at the pre-activation from ``g`` at the output ``out``,
-        which is > 0 exactly where the pre-activation is (0 at relu kinks)."""
-        if self.kind == "identity":
-            return g
+    def backprop_in_place(self, out, g):
+        """Overwrite the float64 array ``g``, the cotangent at the output
+        ``out``, with the cotangent at the pre-activation and return it;
+        ``out`` is > 0 exactly where the pre-activation is (0 at relu
+        kinks)."""
         if self.kind == "relu":
-            return g * (out > 0.0)
-        # The factor is 1.0 where out > 0 and slope elsewhere, so the result
-        # has the bytes of where(out > 0, g, slope * g): (1 - s) + s rounds
-        # to exactly 1.0 for every double s in (0, 1).  For s >= 1/2,
-        # 1 - s is exact (Sterbenz).  For s < 1/2, fl(1 - s) = 1 - s + e
-        # with |e| <= ulp(1/2)/2 = 2**-54, so the sum is the rounding of
-        # 1 + e; the doubles next to 1 are 1 - 2**-53 and 1 + 2**-52, so
-        # 1 + e rounds to 1, at the tie e = -2**-54 by round-half-even.
-        fac = np.multiply(out > 0.0, 1.0 - self.slope)
-        fac += self.slope
-        fac *= g
-        return fac
+            np.multiply(g, out > 0.0, out=g)
+        elif self.kind == "leaky_relu":
+            # The factor is 1.0 where out > 0 and slope elsewhere, so g
+            # gets the bytes of where(out > 0, g, slope * g): (1 - s) + s
+            # rounds to exactly 1.0 for every double s in (0, 1).  For
+            # s >= 1/2, 1 - s is exact (Sterbenz).  For s < 1/2,
+            # fl(1 - s) = 1 - s + e with |e| <= ulp(1/2)/2 = 2**-54, so the
+            # sum is the rounding of 1 + e; the doubles next to 1 are
+            # 1 - 2**-53 and 1 + 2**-52, so 1 + e rounds to 1, at the tie
+            # e = -2**-54 by round-half-even.
+            fac = np.multiply(out > 0.0, 1.0 - self.slope)
+            fac += self.slope
+            g *= fac
+        return g
 
 
 @dataclass
@@ -182,8 +196,13 @@ def _run_stack(t, layers):
     if layers and x.shape[0] != layers[0].weight.shape[1]:
         raise ValueError("input third-mode length does not match the first layer")
     tape = [x]
+    n = x.shape[1]
     for lay in layers:
-        x = lay.activation.apply_in_place(lay.weight @ x)
+        w, act = lay.weight, lay.activation
+        z = np.empty((w.shape[0], n), dtype=np.result_type(w, x))
+        _run((lambda lo, hi: act.apply_in_place(np.matmul(w, x[:, lo:hi], out=z[:, lo:hi])),
+              _blocks(n, _BLOCK_COLS, w.size)))
+        x = z
         tape.append(x)
     if not np.isfinite(x).all():
         raise FloatingPointError("non-finite network output; check weights and input")
@@ -191,6 +210,7 @@ def _run_stack(t, layers):
     return _tensor(x, n1, n2), tape
 
 
+@_blas.single_thread()
 def forward_f(t, params):
     """Apply the forward transform; returns the transformed tensor and
     the tape of ``len(params.f_layers) + 1`` slice-major matrices that
@@ -201,6 +221,7 @@ def forward_f(t, params):
     return _run_stack(t, params.f_layers)
 
 
+@_blas.single_thread()
 def forward_g(t, params):
     """Apply the inverse-role transform; as :func:`forward_f`, but C-ordered."""
     x, tape = _run_stack(t, params.g_layers)
@@ -208,23 +229,45 @@ def forward_g(t, params):
 
 
 def _backward_stack(layers, tape, cotangent, input_grad=True):
-    """Reverse through a slice-major stack, consuming its tape.  Returns
+    """Reverse through a slice-major stack, consuming its tape and
+    writing over ``cotangent``, which the caller gives up.  Returns
     per-layer weight gradients and the cotangent with respect to the
     stack input (``None`` when ``input_grad`` is false)."""
     grads = [None] * len(layers)
-    g = cotangent
+    dz = cotangent
+    n = dz.shape[1]
     out = tape.pop()
+    if layers:
+        act = layers[-1].activation
+        _run((lambda lo, hi: act.backprop_in_place(out[:, lo:hi], dz[:, lo:hi]),
+              _blocks(n, _BLOCK_COLS, layers[-1].weight.size)))
     for i in range(len(layers) - 1, -1, -1):
-        dz = layers[i].activation.backprop(out, g)
-        out = tape.pop()  # layer i's input; its output is freed once used
-        grads[i] = dz @ out.T
-        g = layers[i].weight.T @ dz if i or input_grad else None
-    return grads, g
+        w = layers[i].weight
+        out = tape.pop()  # layer i's input; its output is freed before the next cotangent exists
+        gw = grads[i] = np.empty(w.shape, dtype=np.result_type(dz, out))
+        parts = [(lambda lo, hi: np.matmul(dz[lo:hi], out.T, out=gw[lo:hi]),
+                  _blocks(w.shape[0], _BLOCK_ROWS, w.shape[1] * n))]
+        g = None
+        if i or input_grad:
+            g = np.empty((w.shape[1], n), dtype=np.result_type(w, dz))
+            act = layers[i - 1].activation if i else None
+
+            def cotangent_block(lo, hi):
+                np.matmul(w.T, dz[:, lo:hi], out=g[:, lo:hi])
+                if act is not None:  # layer i - 1's derivative, on the block just written
+                    act.backprop_in_place(out[:, lo:hi], g[:, lo:hi])
+
+            parts.append((cotangent_block, _blocks(n, _BLOCK_COLS, w.size)))
+        _run(*parts)
+        dz = g
+    return grads, dz
 
 
-def _lowrank_workers():
-    """``max(1, cpus // blas_threads)``; see the module docstring."""
+def _worker_count():
+    """Threads of the worker pool; see the module docstring."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if _blas.controls():
+        return cpus
     blas = cpus
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         # BLAS takes the leading integer and skips unset or non-positive values.
@@ -235,16 +278,82 @@ def _lowrank_workers():
     return max(1, cpus // blas)
 
 
-_LOWRANK_WORKERS = _lowrank_workers()
+_WORKERS = None  # _worker_count(), taken on first use
 # Matrix entries per SVD chunk (512 KB of float64), which bounds the
 # U/Vh temporaries each worker holds.
 _CHUNK_ENTRIES = 1 << 16
+# A layer product runs on the pool in blocks of _BLOCK_COLS columns of
+# its right-hand matrix, or, for a weight gradient dZ @ X.T, of
+# _BLOCK_ROWS rows of dZ.  Blocks start at multiples of 64 columns and
+# of 4 rows, and every block does at least _BLOCK_WORK multiply-adds:
+# OpenBLAS takes other kernels, which round differently, for block
+# edges off those multiples and for products of at most 1e6
+# multiply-adds.  So each entry of a split product has the bytes of the
+# whole product's.
+_BLOCK_COLS = 2048
+_BLOCK_ROWS = 32
+_BLOCK_WORK = 1 << 21
 # Worker pools live for the process: starting one per call costs about
 # 0.4 ms, a few percent of a small iteration.
 _EXECUTORS = {}
 if hasattr(os, "register_at_fork"):
     # A forked child has none of its parent's worker threads.
     os.register_at_fork(after_in_child=_EXECUTORS.clear)
+# Whether SVD chunks this thread started hold the pool; layer products
+# then run whole on this thread rather than queue behind the chunks.
+_HELD = threading.local()
+
+
+def _workers():
+    global _WORKERS
+    if _WORKERS is None:
+        _WORKERS = _worker_count()
+    return _WORKERS
+
+
+def _submit(workers, fn, *args):
+    """Start ``fn(*args)`` on the pool of ``workers`` threads, in a copy of
+    this thread's context, so that numpy's error state carries over."""
+    pool = _EXECUTORS.get(workers)
+    if pool is None:
+        from concurrent.futures import ThreadPoolExecutor  # only multi-core runs pay its import
+
+        pool = _EXECUTORS[workers] = ThreadPoolExecutor(workers, thread_name_prefix="ssnt-worker")
+    return pool.submit(contextvars.copy_context().run, fn, *args)
+
+
+def _wait(jobs):
+    """Wait for every job, then raise the first failure."""
+    for job in jobs:
+        job.exception()  # waits; a failed job still lets the others finish
+    for job in jobs:
+        job.result()
+
+
+def _blocks(n, step, work):
+    """Bounds of the blocks of ``range(n)`` a layer product runs in:
+    ``step`` indices each, a short last one joined to the block before
+    it, when every block does at least ``_BLOCK_WORK`` multiply-adds at
+    ``work`` per index and the pool is free; else the whole range.  The
+    bounds never depend on the number of workers."""
+    if n <= step or step * work < _BLOCK_WORK or _workers() == 1 or getattr(_HELD, "pool", False):
+        return [(0, n)]
+    starts = list(range(0, n, step))
+    if (n - starts[-1]) * work < _BLOCK_WORK:
+        starts.pop()
+    if len(starts) < 2:
+        return [(0, n)]
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _run(*parts):
+    """Call ``fn(lo, hi)`` for every block of every ``(fn, blocks)`` part:
+    on the pool when some part has more than one block, else here."""
+    if all(len(blocks) == 1 for _, blocks in parts):
+        for fn, ((lo, hi),) in parts:
+            fn(lo, hi)
+        return
+    _wait([_submit(_workers(), fn, lo, hi) for fn, blocks in parts for lo, hi in blocks])
 
 
 def _subgrad_chunk(stack, sub, norms, lo, hi):
@@ -282,23 +391,20 @@ def _lowrank_chunks(stack, workers):
         for lo, hi in bounds:
             _subgrad_chunk(stack, sub, norms, lo, hi)
         return lambda: (sub, norms)
-    pool = _EXECUTORS.get(workers)
-    if pool is None:
-        from concurrent.futures import ThreadPoolExecutor  # only multi-core runs pay its import
-
-        pool = _EXECUTORS[workers] = ThreadPoolExecutor(workers, thread_name_prefix="ssnt-svd")
-    jobs = [pool.submit(_subgrad_chunk, stack, sub, norms, lo, hi) for lo, hi in bounds]
+    jobs = [_submit(workers, _subgrad_chunk, stack, sub, norms, lo, hi) for lo, hi in bounds]
+    _HELD.pool = True
 
     def join():
-        for job in jobs:
-            job.exception()  # waits; a failed chunk still lets the others finish
-        for job in jobs:
-            job.result()
+        try:
+            _wait(jobs)
+        finally:
+            _HELD.pool = False
         return sub, norms
 
     return join
 
 
+@_blas.single_thread()
 def nuclear_subgrad(m):
     """Subgradient ``U_r @ V_r.T`` of the nuclear norm at ``m``, or at
     every matrix of a stack ``m[..., :, :]``, and the nuclear norms
@@ -312,10 +418,11 @@ def nuclear_subgrad(m):
     if m.ndim < 2:
         raise ValueError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
     stack = m.reshape((math.prod(m.shape[:-2]),) + m.shape[-2:])
-    sub, norms = _lowrank_chunks(stack, _LOWRANK_WORKERS)()
+    sub, norms = _lowrank_chunks(stack, _workers())()
     return sub.reshape(m.shape), norms.reshape(m.shape[:-2])
 
 
+@_blas.single_thread()
 def loss_and_grad(obs, params, model, cfg, admm=None):
     """Loss and exact reverse-mode weight gradients at ``params``.
 
@@ -339,7 +446,7 @@ def loss_and_grad(obs, params, model, cfg, admm=None):
     lam = cfg.lam
     stack = np.moveaxis(y, 2, 0)
     # With lam = 0 the low-rank term is 0: start nothing, on an empty stack.
-    join = _lowrank_chunks(stack if lam > 0.0 else stack[:0], _LOWRANK_WORKERS)
+    join = _lowrank_chunks(stack if lam > 0.0 else stack[:0], _workers())
     try:
         x, tape_g = forward_g(y, params)
         l2, g_x = fidelity(x, model)
@@ -374,6 +481,7 @@ def loss_and_grad(obs, params, model, cfg, admm=None):
     return loss, grads_f + grads_g
 
 
+@_blas.single_thread()
 def reconstruct(obs, params):
     """Reconstruction ``g(f(obs))``, C-ordered; checked as the forwards are."""
     y, _ = forward_f(obs, params)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import single_thread
 from .network import (
     Activation,
     LossBreakdown,
@@ -209,6 +210,7 @@ def _solve(model, cfg, x0, admm):
     return x, params, history
 
 
+@single_thread()
 def solve_ssnt(model, cfg, x0=None):
     """Train the transform pair with plain Adam (no TV term).
 
@@ -226,6 +228,7 @@ def solve_ssnt(model, cfg, x0=None):
     return _solve(model, cfg, init_observation(model) if x0 is None else x0, None)
 
 
+@single_thread()
 def solve_ssnt_tv(model, cfg, x0=None, admm0=None):
     """TV-regularized solve (ADMM-style outer loop).
 

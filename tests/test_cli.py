@@ -42,25 +42,40 @@ class TestSynth:
 
 
 class TestBlasThreadCount:
-    """Loss, relative-change and metric sums run in numpy, not in BLAS,
-    whose long dot products split across its threads: every output of a
-    seeded solve is the same bytes for any BLAS thread count."""
+    """The library runs BLAS on one thread and sums the loss,
+    relative-change and metric terms in numpy, not in BLAS, whose
+    threaded products and long dot products change bytes with its thread
+    count: every output of a seeded solve is the same bytes whether
+    ``OPENBLAS_NUM_THREADS`` is unset, 1 or 2."""
 
-    def run_with_threads(self, threads, truth, out):
+    def run_with_threads(self, threads, truths, out):
         out.mkdir()
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env = dict(os.environ)
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(name, None)
+            if threads is not None:
+                env[name] = threads
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(Path(ssnt.__file__).parents[1]), env.get("PYTHONPATH")) if p
         )
+        small, large = truths
         stdout = b""
         # 30x30x16 = 14400 entries: above the length at which OpenBLAS
-        # splits a dot product across threads.
+        # splits a dot product across threads.  Its width-48 products and
+        # every product at 64x64x31 are large enough for OpenBLAS to
+        # thread them, and the 64x64x31 ones split into blocks on the
+        # library's own pool.
         for argv in (
-            ("complete", "--input", truth, "--sr", "0.5", "--tmax", "3", "--seed", "1",
+            ("complete", "--input", small, "--sr", "0.5", "--tmax", "3", "--seed", "1",
              "--out", out / "c.ssnt", "--diagnostics", out / "c.csv"),
-            ("robust-complete", "--input", truth, "--sr", "0.5", "--tmax", "2", "--seed", "1",
+            ("robust-complete", "--input", small, "--sr", "0.5", "--tmax", "2", "--seed", "1",
              "--tv", "--tau", "0.2", "--inner-steps", "2",
              "--out", out / "r.ssnt", "--sparse", out / "s.ssnt", "--diagnostics", out / "r.csv"),
+            ("complete", "--input", small, "--sr", "0.5", "--tmax", "3", "--seed", "2",
+             "--width", "48", "--layers", "3,3",
+             "--out", out / "w.ssnt", "--diagnostics", out / "w.csv", "--save-transform", out / "wf.ssnt"),
+            ("complete", "--input", large, "--sr", "0.2", "--tmax", "2", "--seed", "3",
+             "--out", out / "l.ssnt", "--diagnostics", out / "l.csv"),
         ):
             proc = subprocess.run(
                 [sys.executable, "-m", "ssnt.cli", *map(str, argv)],
@@ -70,12 +85,16 @@ class TestBlasThreadCount:
         return stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
-        truth = tmp_path / "truth.ssnt"
-        assert run("synth", "--dims", "30,30,16", "--seed", "7", "--out", truth) == 0
-        one = self.run_with_threads("1", truth, tmp_path / "one")
-        two = self.run_with_threads("2", truth, tmp_path / "two")
-        assert sorted(one[1]) == ["c.csv", "c.ssnt", "r.csv", "r.ssnt", "s.ssnt"]
-        assert one == two
+        truths = (tmp_path / "small.ssnt", tmp_path / "large.ssnt")
+        assert run("synth", "--dims", "30,30,16", "--seed", "7", "--out", truths[0]) == 0
+        assert run("synth", "--dims", "64,64,31", "--seed", "8", "--out", truths[1]) == 0
+        unset = self.run_with_threads(None, truths, tmp_path / "unset")
+        one = self.run_with_threads("1", truths, tmp_path / "one")
+        two = self.run_with_threads("2", truths, tmp_path / "two")
+        assert sorted(one[1]) == ["c.csv", "c.ssnt", "l.csv", "l.ssnt", "r.csv", "r.ssnt", "s.ssnt",
+                                  "w.csv", "w.ssnt", "wf.ssnt"]
+        assert unset == one
+        assert two == one
 
 
 class TestComplete:
@@ -641,3 +660,21 @@ class TestFailEarly:
         assert code == 5
         assert "error code=5 kind=config detail='non-finite network output" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [truth]
+
+    @pytest.mark.parametrize("dims", ["12,10,6", "96,96,31"])
+    def test_overflow_prints_one_stderr_line(self, tmp_path, dims):
+        """numpy's overflow warnings stay off stderr, also those raised on
+        the worker threads, which run the 96x96x31 layer products: the
+        error line is the only one."""
+        truth = tmp_path / "t.ssnt"
+        assert run("synth", "--dims", dims, "--out", truth) == 0
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(ssnt.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ssnt.cli", "complete", "--input", str(truth), "--sr", "0.5",
+             "--tmax", "1", "--lr", "1e200", "--out", str(tmp_path / "x.ssnt")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 5
+        assert proc.stderr.splitlines() == [
+            "error code=5 kind=config detail='non-finite network output; check weights and input'"]

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ssnt import network
+from ssnt import _blas, network
 from ssnt.network import (
     Activation,
     Layer,
@@ -65,7 +65,20 @@ class TestActivation:
         z = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, 1e-310, -1e-310,
                       1e300, -1e300, 1.0, -1.0, 2.5, -2.5])
         g = np.linspace(-3.0, 4.0, z.size)
-        assert act.backprop(activate(act, z), g).tobytes() == act.backprop(z, g).tobytes()
+        from_out = act.backprop_in_place(activate(act, z), g.copy())
+        assert from_out.tobytes() == act.backprop_in_place(z, g.copy()).tobytes()
+
+    def test_relu_derivative_is_written_in_place_with_the_bytes_of_where(self):
+        """The cotangent itself is returned, holding ``g`` where the output
+        is positive and ``0.0 * g`` (a signed zero) elsewhere."""
+        tiny = np.finfo(float).smallest_subnormal
+        z = np.array([0.0, -0.0, tiny, -tiny, 1e300, -1e300, 1.0, -1.0, 2.5, -2.5])
+        g = np.array([-1.0, 2.0, -tiny, tiny, -3.0, -1e300, 1e-300, -0.0, -2.0, 5.0])
+        out = activate(Activation("relu"), z)
+        g_own = g.copy()
+        assert Activation("relu").backprop_in_place(out, g_own) is g_own
+        assert g_own.tobytes() == np.where(out > 0, g, 0.0 * g).tobytes()
+        assert g_own.tobytes() == (g * (out > 0.0)).tobytes()
 
     def test_kernels_match_where_for_random_slopes(self):
         """The in-place forward and the factor backward give the bytes of
@@ -82,7 +95,7 @@ class TestActivation:
             assert (1.0 - s) + s == 1.0
             out = act.apply_in_place(z.copy())
             assert out.tobytes() == np.where(z > 0, z, s * z).tobytes()
-            assert act.backprop(out, g).tobytes() == np.where(out > 0, g, s * g).tobytes()
+            assert act.backprop_in_place(out, g.copy()).tobytes() == np.where(out > 0, g, s * g).tobytes()
 
 
 class TestInitWeights:
@@ -438,7 +451,7 @@ class TestLowrankStep:
         monkeypatch.setattr(network, "_CHUNK_ENTRIES", 2 * 20 * 18)
         runs = []
         for workers in (1, 2):
-            monkeypatch.setattr(network, "_LOWRANK_WORKERS", workers)
+            monkeypatch.setattr(network, "_WORKERS", workers)
             runs.append(loss_and_grad(obs, params, model, cfg))
         (loss1, grads1), (loss2, grads2) = runs
         assert loss1 == loss2
@@ -466,7 +479,7 @@ class TestLowrankStep:
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 8):
-                monkeypatch.setattr(network, "_LOWRANK_WORKERS", workers)
+                monkeypatch.setattr(network, "_WORKERS", workers)
                 loss, grads = loss_and_grad(obs, params, model, cfg, admm)
                 runs.append((loss, [g.tobytes() for g in grads]))
         finally:
@@ -496,7 +509,7 @@ class TestLowrankStep:
 
         monkeypatch.setattr(network, "_subgrad_chunk", slow_chunk)
         monkeypatch.setattr(network, "_CHUNK_ENTRIES", 20 * 18)
-        monkeypatch.setattr(network, "_LOWRANK_WORKERS", workers)
+        monkeypatch.setattr(network, "_WORKERS", workers)
         return log
 
     def test_one_worker_runs_no_thread(self, monkeypatch):
@@ -548,14 +561,195 @@ class TestLowrankStep:
         ({"OMP_NUM_THREADS": "x"}, 1),
     ])
     def test_worker_rule(self, monkeypatch, env, expect):
-        """max(1, cpus // blas_threads) with the BLAS thread count read
-        from the environment as BLAS reads it."""
+        """With no BLAS thread setter found: max(1, cpus // blas_threads),
+        with the BLAS thread count read from the environment as BLAS
+        reads it.  With one found: every cpu, whatever the environment."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        assert network._lowrank_workers() == expect
+        monkeypatch.setattr(_blas, "controls", lambda: ())
+        assert network._worker_count() == expect
+        monkeypatch.setattr(_blas, "controls", lambda: ((lambda: 1, lambda n: None),))
+        assert network._worker_count() == 4
+
+
+class TestSplitLayers:
+    """f's passes, and stack runs while no SVD chunk holds the pool, split
+    large layer products into fixed blocks on the worker pool."""
+
+    @staticmethod
+    def split_counter(monkeypatch):
+        """Count the ``_run`` calls that split into more than one block."""
+        calls = {"split": 0, "whole": 0}
+        real = network._run
+
+        def counting(*parts):
+            calls["split" if any(len(b) > 1 for _, b in parts) else "whole"] += 1
+            return real(*parts)
+
+        monkeypatch.setattr(network, "_run", counting)
+        return calls
+
+    @pytest.mark.parametrize("dims, width, split", [
+        ((128, 128, 31), 62, True), ((96, 96, 60), 120, True), ((30, 30, 16), 48, False),
+    ], ids=["128x128x31", "96x96x60", "30x30x16"])
+    def test_loss_and_grad_same_on_1_2_8_workers(self, monkeypatch, dims, width, split):
+        """With 1 worker every product runs whole; with 2 or 8 (more than
+        cores, under a short switch interval) the large ones run in
+        blocks.  Loss, gradients and the reconstruction keep their bytes.
+        At 30x30x16 nothing splits."""
+        obs, params, model, cfg = tc_setup(dims, width, p=2, q=3, seed=31)
+        monkeypatch.setattr(network, "_CHUNK_ENTRIES", dims[0] * dims[1] * 4)
+        calls = self.split_counter(monkeypatch)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 8):
+                monkeypatch.setattr(network, "_WORKERS", workers)
+                for lam in (cfg.lam, 0.0):  # with lam = 0 no chunk holds the pool, so g splits too
+                    loss, grads = loss_and_grad(obs, params, model, replace(cfg, lam=lam))
+                    runs.append((workers, loss, [g.tobytes() for g in grads]))
+                runs.append((workers, reconstruct(obs, params).tobytes()))
+                if workers == 1:
+                    assert calls["split"] == 0
+        finally:
+            sys.setswitchinterval(interval)
+        one = [r[1:] for r in runs if r[0] == 1]
+        assert [r[1:] for r in runs if r[0] == 2] == one
+        assert [r[1:] for r in runs if r[0] == 8] == one
+        assert (calls["split"] > 0) == split
+
+    def test_g_runs_whole_while_chunks_hold_the_pool(self, monkeypatch):
+        """Inside loss_and_grad, g's layer products do not queue behind
+        the SVD chunks: they run whole on the calling thread."""
+        obs, params, model, cfg = tc_setup((96, 96, 31), 62, seed=32)
+        monkeypatch.setattr(network, "_WORKERS", 2)
+        monkeypatch.setattr(network, "_CHUNK_ENTRIES", 96 * 96 * 4)
+        held = []
+        real = network._blocks
+
+        def blocks(n, step, work):
+            out = real(n, step, work)
+            held.append((getattr(network._HELD, "pool", False), len(out)))
+            return out
+
+        monkeypatch.setattr(network, "_blocks", blocks)
+        loss_and_grad(obs, params, model, cfg)
+        assert any(h for h, _ in held) and all(k == 1 for h, k in held if h)
+        assert any(k > 1 for h, k in held if not h)
+        assert not getattr(network._HELD, "pool", False)
+
+    @pytest.mark.parametrize("n, step, work, expect", [
+        (16384, 2048, 62 * 31, [(i, i + 2048) for i in range(0, 16384, 2048)]),
+        (9216, 2048, 120 * 60, [(0, 2048), (2048, 4096), (4096, 6144), (6144, 8192), (8192, 9216)]),
+        (5000, 2048, 1024, [(0, 2048), (2048, 5000)]),  # the 904-column tail joins the block before it
+        (900, 2048, 48 * 48, [(0, 900)]),
+        (62, 32, 62 * 16384, [(0, 32), (32, 62)]),
+        (62, 32, 31 * 900, [(0, 62)]),
+    ])
+    def test_block_bounds(self, monkeypatch, n, step, work, expect):
+        """Blocks start at multiples of the step; each does at least
+        _BLOCK_WORK multiply-adds, or the range runs whole.  The bounds
+        are the same for any number of workers above one."""
+        for workers in (2, 3, 8):
+            monkeypatch.setattr(network, "_WORKERS", workers)
+            assert network._blocks(n, step, work) == expect
+        monkeypatch.setattr(network, "_WORKERS", 1)
+        assert network._blocks(n, step, work) == [(0, n)]
+
+
+needs_setter = pytest.mark.skipif(not _blas.controls(), reason="no OpenBLAS thread setter found")
+
+
+class TestBlasScope:
+    """The library runs BLAS on one thread in every solve and public
+    network call, and restores the caller's count on every exit."""
+
+    @staticmethod
+    def counts(controls=None):
+        return [get() for get, _ in (controls or _blas.controls())]
+
+    @pytest.fixture
+    def caller_at_two(self):
+        """Every loaded OpenBLAS at 2 threads for the test; the count it
+        had is restored afterwards."""
+        before = self.counts()
+        for _, put in _blas.controls():
+            put(2)
+        yield [2] * len(before)
+        for (_, put), count in zip(_blas.controls(), before):
+            put(count)
+
+    @needs_setter
+    def test_count_inside_a_solve_is_one(self, monkeypatch, caller_at_two):
+        from ssnt.solvers import solve_ssnt
+
+        seen = []
+        fid = network.fidelity
+
+        def spy(x, model):
+            seen.append(self.counts())
+            return fid(x, model)
+
+        monkeypatch.setattr(network, "fidelity", spy)
+        obs, params, model, cfg = tc_setup((12, 10, 6), 8, seed=33)
+        solve_ssnt(model, replace(cfg, t_max=2))
+        loss_and_grad(obs, params, model, cfg)  # a public call outside a solve
+        assert seen == [[1] * len(caller_at_two)] * 3
+        assert self.counts() == caller_at_two
+
+    @needs_setter
+    def test_caller_count_restored_after_an_error(self, caller_at_two):
+        obs, params, _, _ = tc_setup((6, 5, 4), 8, seed=34)
+        bad = params.with_weights([np.full_like(w, np.inf) for w in params.weights()])
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(FloatingPointError):
+            forward_f(obs, bad)
+        assert self.counts() == caller_at_two
+
+    @needs_setter
+    def test_nested_scopes_restore_only_at_the_outermost_exit(self, caller_at_two):
+        one = [1] * len(caller_at_two)
+        with _blas.single_thread():
+            with _blas.single_thread():
+                assert self.counts() == one
+            assert self.counts() == one
+        assert self.counts() == caller_at_two
+
+    @needs_setter
+    def test_scopes_on_two_threads_share_one_count(self, caller_at_two):
+        """The scope is process-wide: a thread leaving its scope while
+        another is still inside one leaves BLAS at one thread."""
+        one = [1] * len(caller_at_two)
+        entered, release, seen = threading.Event(), threading.Event(), []
+
+        def other():
+            with _blas.single_thread():
+                entered.set()
+                release.wait(10)
+                seen.append(self.counts())
+
+        t = threading.Thread(target=other)
+        with _blas.single_thread():
+            t.start()
+            assert entered.wait(10)
+        assert self.counts() == one  # the other thread is still inside
+        release.set()
+        t.join(10)
+        assert not t.is_alive()
+        assert seen == [one] and self.counts() == caller_at_two
+
+    @needs_setter
+    def test_without_a_setter_the_scope_changes_nothing(self, monkeypatch, caller_at_two):
+        real = _blas.controls()
+        monkeypatch.setattr(_blas, "controls", lambda: ())
+        with _blas.single_thread():
+            assert self.counts(real) == caller_at_two
+        obs, params, _, _ = tc_setup((6, 5, 4), 8, seed=35)
+        forward_f(obs, params)
+        assert self.counts(real) == caller_at_two
 
 
 def slice_major(t):

@@ -307,7 +307,7 @@ class TestSolveSsntTv:
         monkeypatch.setattr(network, "_CHUNK_ENTRIES", 3 * 16 * 14)
         runs = []
         for workers in (1, 2):
-            monkeypatch.setattr(network, "_LOWRANK_WORKERS", workers)
+            monkeypatch.setattr(network, "_WORKERS", workers)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 x, params, history = solve_ssnt_tv(model, cfg)
