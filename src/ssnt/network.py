@@ -34,14 +34,19 @@ the outputs.  Every stack run checks its output: NaN or inf raises
 
 Every public function here, and every solve, runs with BLAS on one
 thread (``ssnt._blas.single_thread``); the library spreads its work
-over its own pool of one thread per usable cpu instead.  In
-:func:`loss_and_grad` the SVD stack runs in chunks on the pool as soon
-as ``f`` has run, while ``g``'s forward and backward passes run on the
-calling thread.  ``f``'s passes, and every stack run while no chunk
-holds the pool, split each large layer product into fixed blocks on the
-pool: ``W @ X``, the activation, its derivative and ``W.T @ dZ`` by
-columns, the weight gradient ``dZ @ X.T`` by rows of ``dZ``, so that
-each entry keeps its whole reduction.  The blocks do not depend on the
+over its own pool of one thread per usable cpu instead.  A training
+step's forward pass runs ``f``, starts the SVD stack in chunks on the
+pool and runs ``g`` on the calling thread; :func:`loss_and_grad` then
+runs the fidelity and TV terms and ``g``'s backward pass before it
+waits for the chunks.  The solvers run each step's forward pass right
+after the Adam step that fixes its weights and hand it to the step as
+``ahead``, so the TV update reads that pass's ``x`` while the chunks
+run, and the last pass, whose ``x`` is the estimate, starts no SVDs.
+``f``'s passes, and every stack run while no chunk holds the pool,
+split each large layer product into fixed blocks on the pool:
+``W @ X``, the activation, its derivative and ``W.T @ dZ`` by columns,
+the weight gradient ``dZ @ X.T`` by rows of ``dZ``, so that each entry
+keeps its whole reduction.  The blocks do not depend on the
 number of threads, and each entry has the bytes of the whole product,
 so results depend neither on the thread count nor on how the
 environment set BLAS.  When no OpenBLAS thread setter is found, BLAS
@@ -422,8 +427,53 @@ def nuclear_subgrad(m):
     return sub.reshape(m.shape), norms.reshape(m.shape[:-2])
 
 
+class _ForwardPass:
+    """``f`` and ``g`` run once at fixed weights, with the SVD chunks of
+    the low-rank step started on ``f``'s output when ``lam > 0``.  ``x``
+    is the C-ordered reconstruction ``g(f(obs))``; it may be read until
+    :func:`loss_and_grad` takes the pass as ``ahead``, once, at the same
+    ``obs``, ``params`` and ``lam``.  A pass that is not taken must be
+    closed: :meth:`close` waits for its chunks and frees its tapes."""
+
+    def __init__(self, obs, params, lam):
+        self._key = (obs, params, lam)
+        y, self._tape_f = forward_f(obs, params)
+        stack = np.moveaxis(y, 2, 0)
+        # With lam = 0 the low-rank term is 0: start nothing, on an empty stack.
+        self._join = _lowrank_chunks(stack if lam > 0.0 else stack[:0], _workers())
+        try:
+            self.x, self._tape_g = forward_g(y, params)
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self):
+        """Wait for the chunks unless they were taken or waited for
+        already, and free the tapes; ``x`` stays readable, and the pass
+        can no longer be taken."""
+        join, self._join = self._join, None
+        self._key = self._tape_f = self._tape_g = None
+        if join is not None:
+            join()
+
+    def take(self, obs, params, lam):
+        """Hand over f's tape, ``x``, g's tape and the join of the chunks,
+        and keep no reference to them.  A pass built at other inputs is
+        closed; it, and a pass already taken or closed, raise
+        ``ValueError``."""
+        key, self._key = self._key, None
+        if key is None:
+            raise ValueError("this forward pass was already used or closed")
+        if key[0] is not obs or key[1] is not params or key[2] != lam:
+            self.close()
+            raise ValueError("this forward pass was built at other obs, params or lam")
+        out = self._tape_f, self.x, self._tape_g, self._join
+        self._tape_f = self.x = self._tape_g = self._join = None
+        return out
+
+
 @_blas.single_thread()
-def loss_and_grad(obs, params, model, cfg, admm=None):
+def loss_and_grad(obs, params, model, cfg, admm=None, *, ahead=None):
     """Loss and exact reverse-mode weight gradients at ``params``.
 
     ``obs`` is the (already initialized) ``(n1, n2, n3)`` network input;
@@ -436,19 +486,19 @@ def loss_and_grad(obs, params, model, cfg, admm=None):
 
     The low-rank step depends on ``f(obs)`` alone: its SVD chunks are
     started right after ``f`` and joined after ``g``'s backward pass, on
-    every exit.
+    every exit.  ``ahead`` is a forward pass the solvers ran at these
+    ``obs``, ``params`` and ``cfg.lam`` already; it is used once, and
+    one built at other inputs, or used before, raises ``ValueError``.
 
     Returns ``(LossBreakdown, grads)`` where ``grads`` aligns with
     ``params.weights()``.  A non-finite network output or loss aborts
     with ``FloatingPointError``.
     """
-    y, tape_f = forward_f(obs, params)
     lam = cfg.lam
-    stack = np.moveaxis(y, 2, 0)
-    # With lam = 0 the low-rank term is 0: start nothing, on an empty stack.
-    join = _lowrank_chunks(stack if lam > 0.0 else stack[:0], _workers())
+    if ahead is None:
+        ahead = _ForwardPass(obs, params, lam)
+    tape_f, x, tape_g, join = ahead.take(obs, params, lam)
     try:
-        x, tape_g = forward_g(y, params)
         l2, g_x = fidelity(x, model)
 
         tv = 0.0
@@ -459,7 +509,7 @@ def loss_and_grad(obs, params, model, cfg, admm=None):
                 tv += 0.5 * beta * sum_squares(r)
                 g_x = g_x + beta * diff_p_adj(r, p)
 
-        del x, y, stack  # x is freed before the backward pass; y lives on in the tapes
+        del x  # freed before the backward pass
         grads_g, g_y = _backward_stack(params.g_layers, tape_g, _slices(g_x))
         del g_x
     finally:

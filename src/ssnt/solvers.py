@@ -8,6 +8,13 @@ network takes ``inner_steps`` Adam steps on the augmented objective,
 then the TV splitting variables get their closed-form soft-threshold
 update and the multipliers a dual ascent step.
 
+Each step's forward pass (``f``, the SVDs of the low-rank term started
+on the worker pool, ``g``) runs once, right after the Adam step that
+fixes its weights, and the next :func:`~ssnt.network.loss_and_grad`
+call takes it as ``ahead``.  The TV update reads that pass's ``x`` while
+the SVDs run, and the last pass, which only gives the estimate, starts
+no SVDs.
+
 The network is built from the config alone by
 :func:`ssnt.network.init_weights`.  The whole observed tensor is one
 batch, and every solve runs ``t_max`` iterations: there is no early
@@ -25,9 +32,9 @@ from ._blas import single_thread
 from .network import (
     Activation,
     LossBreakdown,
+    _ForwardPass,
     init_weights,
     loss_and_grad,
-    reconstruct,
 )
 from .problems import assemble, init_observation
 from .tensors import diff_p, soft_threshold, sum_squares
@@ -190,23 +197,31 @@ def _solve(model, cfg, x0, admm):
     params = init_weights(xs.shape[2], cfg)
     state = AdamState.zeros(params.weights())
     history = []
-    for it in range(cfg.t_max):
-        old = params.weights()
-        for _ in range(cfg.inner_steps):
-            loss, grads = loss_and_grad(xs, params, model, cfg, admm)
-            new, state = adam_step(params.weights(), grads, state, cfg)
-            params = params.with_weights(new)
-        rel_v = 0.0
-        if admm is not None:
-            x = reconstruct(xs, params)
-            v1, v2 = v_update(x, admm, cfg)
-            rel_v = _rel_change([v1, v2], [admm.v1, admm.v2])
-            admm.v1, admm.v2 = v1, v2
-            admm.l1, admm.l2 = multiplier_update(admm, x, cfg)
-        history.append(Diagnostics(it, _rel_change(params.weights(), old), rel_v, loss))
+    steps = cfg.t_max * cfg.inner_steps
+    # steps counts the gradient steps still to come: the last pass only
+    # gives the estimate, so it starts no SVDs.
+    ahead = _ForwardPass(xs, params, cfg.lam if steps else 0.0)
+    try:
+        for it in range(cfg.t_max):
+            old = params.weights()
+            for _ in range(cfg.inner_steps):
+                loss, grads = loss_and_grad(xs, params, model, cfg, admm, ahead=ahead)
+                new, state = adam_step(params.weights(), grads, state, cfg)
+                params = params.with_weights(new)
+                steps -= 1
+                ahead = _ForwardPass(xs, params, cfg.lam if steps else 0.0)
+            rel_v = 0.0
+            if admm is not None:
+                v1, v2 = v_update(ahead.x, admm, cfg)
+                rel_v = _rel_change([v1, v2], [admm.v1, admm.v2])
+                admm.v1, admm.v2 = v1, v2
+                admm.l1, admm.l2 = multiplier_update(admm, ahead.x, cfg)
+            history.append(Diagnostics(it, _rel_change(params.weights(), old), rel_v, loss))
+    finally:
+        ahead.close()  # no chunk outlives the solve; the tapes are freed before assemble
     if history and history[-1].loss.total > history[0].loss.total:
         warnings.warn("loss increased over the run", RuntimeWarning)
-    x = assemble(reconstruct(xs, params), model).x
+    x = assemble(ahead.x, model).x
     return x, params, history
 
 

@@ -1,6 +1,8 @@
 """Optimization drivers: Adam, the plain solver, the ADMM/TV solver and
 their closed-form updates and diagnostics."""
 
+import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -8,9 +10,11 @@ import numpy as np
 import pytest
 
 from ssnt import network, solvers
+from ssnt.cli import main
 from ssnt.network import Activation, Layer, NetworkParams, init_weights, loss_and_grad, reconstruct
-from ssnt.problems import SamplingSpec, degrade, init_observation, synth_low_tubal_rank
+from ssnt.problems import SamplingSpec, assemble, degrade, init_observation, synth_low_tubal_rank
 from ssnt.solvers import (
+    REL_ERR_FLOOR,
     AdamState,
     AdmmState,
     SolverConfig,
@@ -21,7 +25,7 @@ from ssnt.solvers import (
     solve_ssnt_tv,
     v_update,
 )
-from ssnt.tensors import diff_p, soft_threshold
+from ssnt.tensors import diff_p, soft_threshold, sum_squares
 
 
 class TestDefaultConfig:
@@ -402,3 +406,204 @@ class TestIdentityInitMonotone:
         losses = self.run_losses(pert, steps=300)
         for a, b in zip(losses, losses[1:]):
             assert b <= a + 1e-15
+
+
+def public_loop(model, cfg, x0, admm):
+    """Both solvers' loop from public calls alone: every step runs its
+    own forward pass, and the TV update and the estimate run their own
+    reconstruction."""
+
+    def rel_change(new, old):
+        return float(sum(np.sqrt(sum_squares(n - o)) / max(np.sqrt(sum_squares(o)), REL_ERR_FLOOR)
+                         for n, o in zip(new, old)))
+
+    params = init_weights(x0.shape[2], cfg)
+    state = AdamState.zeros(params.weights())
+    history = []
+    for it in range(cfg.t_max):
+        old = params.weights()
+        for _ in range(cfg.inner_steps):
+            loss, grads = loss_and_grad(x0, params, model, cfg, admm)
+            new, state = adam_step(params.weights(), grads, state, cfg)
+            params = params.with_weights(new)
+        rel_v = 0.0
+        if admm is not None:
+            x = reconstruct(x0, params)
+            v1, v2 = v_update(x, admm, cfg)
+            rel_v = rel_change([v1, v2], [admm.v1, admm.v2])
+            admm.v1, admm.v2 = v1, v2
+            admm.l1, admm.l2 = multiplier_update(admm, x, cfg)
+        history.append(solvers.Diagnostics(it, rel_change(params.weights(), old), rel_v, loss))
+    return assemble(reconstruct(x0, params), model).x, params, history
+
+
+def solve_bytes(x, params, history, admm):
+    rows = [(d.iteration, d.rel_err_weights, d.rel_err_v, d.loss.l1_lowrank, d.loss.l2_fidelity,
+             d.loss.tv_penalty) for d in history]
+    tv = [] if admm is None else [a.tobytes() for a in (admm.v1, admm.v2, admm.l1, admm.l2)]
+    return x.tobytes(), [w.tobytes() for w in params.weights()], np.array(rows).tobytes(), tv
+
+
+class ChunkLog:
+    """Counts the SVD chunks started and finished; each one sleeps
+    first, so a chunk nobody waits for is still running when its solve
+    returns."""
+
+    def __init__(self, monkeypatch):
+        self.lock = threading.Lock()
+        self.started = self.finished = 0
+        real = network._subgrad_chunk
+
+        def chunk(*args):
+            with self.lock:
+                self.started += 1
+            try:
+                time.sleep(0.01)
+                real(*args)
+            finally:
+                with self.lock:
+                    self.finished += 1
+
+        monkeypatch.setattr(network, "_subgrad_chunk", chunk)
+
+    def all_joined(self):
+        with self.lock:
+            return self.started > 0 and self.started == self.finished
+
+
+def rtc_instance(dims=(16, 14, 6), seed=21):
+    truth = synth_low_tubal_rank(dims, 2, seed=seed)
+    return truth, degrade(truth, "rtc", SamplingSpec(sr=0.6, noise_sr=0.1, seed=seed + 1))
+
+
+def inject(monkeypatch, fault):
+    """Make a TV solve raise at one point of its first outer iteration."""
+    if fault == "v_update":
+        def v_update_fails(x, admm, cfg):
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr(solvers, "v_update", v_update_fails)
+    elif fault == "nonfinite-forward":
+        real_adam = solvers.adam_step
+
+        def poisons_g(weights, grads, state, cfg):
+            new, state = real_adam(weights, grads, state, cfg)
+            new[-1] = np.full_like(new[-1], np.inf)  # f runs, g's output is not finite
+            return new, state
+
+        monkeypatch.setattr(solvers, "adam_step", poisons_g)
+    else:
+        real_grad = solvers.loss_and_grad
+
+        def nan_gradient(*args, **kwargs):
+            loss, grads = real_grad(*args, **kwargs)
+            grads[0] = np.full_like(grads[0], np.nan)
+            return loss, grads
+
+        monkeypatch.setattr(solvers, "loss_and_grad", nan_gradient)
+
+
+class TestForwardPassAhead:
+    """The solvers run each step's forward pass once, right after the Adam
+    step that fixes its weights; the TV update reads its ``x``."""
+
+    @pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(network, "_WORKERS", request.param)
+        monkeypatch.setattr(network, "_CHUNK_ENTRIES", 2 * 16 * 14)
+
+    @pytest.mark.parametrize("tv, inner", [(False, 1), (True, 1), (True, 3)],
+                             ids=["tc", "rtc-inner1", "rtc-inner3"])
+    def test_bytes_equal_the_public_loop(self, workers, tv, inner):
+        _, model = rtc_instance()
+        cfg = SolverConfig(lam=0.05, tau=0.05, t_max=5, inner_steps=inner, width=12, seed=23, lr=3e-3)
+        x0 = init_observation(model)
+
+        def admm():
+            return AdmmState(diff_p(x0, 1), diff_p(x0, 2), np.zeros(x0.shape), np.zeros(x0.shape))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want_admm = admm() if tv else None
+            want = solve_bytes(*public_loop(model, cfg, x0, want_admm), want_admm)
+            got_admm = admm() if tv else None
+            solve = solve_ssnt_tv(model, cfg, x0=x0, admm0=got_admm) if tv else solve_ssnt(model, cfg, x0=x0)
+        assert solve_bytes(*solve, got_admm) == want
+
+    @pytest.mark.parametrize("solve, t_max, inner", [
+        (solve_ssnt_tv, 3, 1), (solve_ssnt_tv, 2, 3), (solve_ssnt_tv, 0, 2), (solve_ssnt, 4, 1),
+    ], ids=["tv-3x1", "tv-2x3", "tv-0x2", "plain-4"])
+    def test_one_forward_pass_per_adam_step(self, monkeypatch, solve, t_max, inner):
+        """T outer iterations of k steps run f T*k + 1 times (one pass
+        per step, and the last pass for the estimate), and only the passes
+        a gradient step takes start SVDs."""
+        calls = {"forward_f": 0, "stacks": []}
+        real_f, real_chunks = network.forward_f, network._lowrank_chunks
+
+        def forward_f(t, params):
+            calls["forward_f"] += 1
+            return real_f(t, params)
+
+        def lowrank_chunks(stack, workers):
+            calls["stacks"].append(stack.shape[0])
+            return real_chunks(stack, workers)
+
+        monkeypatch.setattr(network, "forward_f", forward_f)
+        monkeypatch.setattr(network, "_lowrank_chunks", lowrank_chunks)
+        _, model = rtc_instance()
+        cfg = SolverConfig(lam=0.05, tau=0.05, t_max=t_max, inner_steps=inner, width=12, seed=23)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solve(model, cfg)
+        assert calls["forward_f"] == t_max * inner + 1
+        assert calls["stacks"] == [12] * (t_max * inner) + [0]
+
+    @pytest.mark.parametrize("fault", ["v_update", "nonfinite-forward", "nonfinite-gradient"])
+    def test_a_raise_waits_for_the_chunks(self, monkeypatch, tmp_path, capsys, fault):
+        """Through the library and through the CLI, which then exits 5
+        and writes nothing."""
+        monkeypatch.setattr(network, "_WORKERS", 2)
+        monkeypatch.setattr(network, "_CHUNK_ENTRIES", 16 * 14)
+        truth = tmp_path / "t.ssnt"
+        assert main(["synth", "--dims", "12,10,6", "--out", str(truth)]) == 0
+        log = ChunkLog(monkeypatch)
+        inject(monkeypatch, fault)
+        _, model = rtc_instance()
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            solve_ssnt_tv(model, SolverConfig(lam=0.05, tau=0.05, t_max=3, width=12, seed=23))
+        assert log.all_joined()
+        assert not getattr(network._HELD, "pool", False)
+
+        argv = ["robust-complete", "--input", str(truth), "--sr", "0.5", "--tv", "--tau", "0.2",
+                "--tmax", "3", "--inner-steps", "2"]
+        for flag, name in (("--out", "x.ssnt"), ("--sparse", "s.ssnt"), ("--diagnostics", "d.csv"),
+                           ("--manifest", "m.json"), ("--save-transform", "f.ssnt")):
+            argv += [flag, str(tmp_path / name)]
+        assert main(argv) == 5
+        assert "error code=5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [truth]
+        assert log.all_joined()
+        assert not getattr(network._HELD, "pool", False)
+
+    def test_ahead_is_taken_once_at_its_own_inputs(self, monkeypatch):
+        monkeypatch.setattr(network, "_WORKERS", 2)
+        monkeypatch.setattr(network, "_CHUNK_ENTRIES", 16 * 14)
+        log = ChunkLog(monkeypatch)
+        _, model = rtc_instance()
+        cfg = SolverConfig(lam=0.05, width=12, seed=23)
+        x0 = init_observation(model)
+        params = init_weights(6, cfg)
+        ahead = network._ForwardPass(x0, params, cfg.lam)
+        loss, grads = loss_and_grad(x0, params, model, cfg, ahead=ahead)
+        want_loss, want_grads = loss_and_grad(x0, params, model, cfg)
+        assert loss == want_loss
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
+        with pytest.raises(ValueError, match="already used"):
+            loss_and_grad(x0, params, model, cfg, ahead=ahead)
+        copied = params.with_weights(params.weights())
+        for obs, at, lam in ((x0.copy(), params, cfg.lam), (x0, copied, cfg.lam), (x0, params, 0.0)):
+            ahead = network._ForwardPass(obs, at, lam)
+            with pytest.raises(ValueError, match="built at other"):
+                loss_and_grad(x0, params, model, cfg, ahead=ahead)
+            assert not getattr(network._HELD, "pool", False)
+            assert log.all_joined()
