@@ -10,8 +10,12 @@ The four solver commands (``complete``, ``robust-complete``,
 ``subtract``, ``sci``) run one body, :func:`_run_solver`, on the
 observation :func:`_observe` builds.  ``--input`` is a ground truth to
 degrade at ``--sr`` and, unless ``--ref`` is given, the metrics
-reference; for ``subtract`` it is the video.  ``--ref`` is read, and
-its shape checked, before the solve.  Every tensor file a command reads
+reference; for ``subtract`` it is the video.  ``--input`` excludes
+``--obs`` (``--measurement``) and ``--mask``, and ``--sr``,
+``--noise-sr`` and ``--sigma`` need it; both rules are checked before
+any file is read.  ``--ref`` is read, and its shape checked, before the
+solve.  ``metrics`` takes at most one of ``--peak`` and
+``--peak-from-ref``.  Every tensor file a command reads
 must hold only finite values; a NaN or inf fails with a message naming
 the file.  ``--peak`` must be finite and positive, and the solver
 commands check it before reading any input.  ``--tau`` and ``--beta`` need
@@ -116,16 +120,24 @@ def _read_finite(path):
     return t
 
 
-def _add_observation_flags(sub, obs_flag, sr):
+# The flags that say how a solver command degrades --input, by dest.
+_SAMPLING_FLAGS = {"sr": "--sr", "noise_sr": "--noise-sr", "sigma": "--sigma"}
+
+
+def _add_observation_flags(sub, obs_flag, **sampling):
     """Observation flags of the solver commands that degrade ``--input``.
-    A command lacking a flag that :func:`_observe` reads sets that value
-    with ``set_defaults``."""
+    ``sampling`` maps the dest of each sampling flag the command takes to
+    its default.  The flags parse to ``None`` when absent, so that
+    :func:`_observe` can reject one given without ``--input``."""
     sub.add_argument(obs_flag, dest="obs", default=None, metavar="SSNT")
     sub.add_argument("--mask", default=None, metavar="SSNT")
     sub.add_argument("--input", default=None, metavar="SSNT",
                      help="ground truth; degrade at --sr first")
-    sub.add_argument("--sr", type=float, default=sr)
+    for dest, default in sampling.items():
+        sub.add_argument(_SAMPLING_FLAGS[dest], dest=dest, type=float, default=None,
+                         help=f"with --input only (default {default})")
     sub.add_argument("--out", required=True, metavar="SSNT")
+    sub.set_defaults(sampling={"noise_sr": 0.0, "sigma": 0.0, **sampling})
 
 
 def _add_solver_flags(sub):
@@ -179,14 +191,24 @@ def _observe(kind, args):
     simulated from (``None`` when it was read from files).
 
     ``--input`` is a ground truth to degrade at ``--sr``, except for
-    ``bs``, where it is the video itself.
+    ``bs``, where it is the video itself.  It excludes the observation
+    files, and the sampling flags need it.  Both are checked before any
+    file is read.
     """
     if kind == "bs":
         return ObservationModel("bs", _read_finite(args.input)), None
+    obs_flag = "--measurement" if kind == "sci" else "--obs"
+    given = {dest: getattr(args, dest) for dest in args.sampling
+             if getattr(args, dest, None) is not None}
     if args.input is not None:
+        if args.obs is not None or args.mask is not None:
+            raise ValueError(f"--input is degraded to the observation: drop {obs_flag} and --mask")
+        vars(args).update({**args.sampling, **given})
         return _degrade_input(kind, args)
+    if given:
+        raise ValueError(f"{_SAMPLING_FLAGS[next(iter(given))]} needs --input: "
+                         "only a degraded --input reads it")
     if args.obs is None or args.mask is None:
-        obs_flag = "--measurement" if kind == "sci" else "--obs"
         raise ValueError(f"need either --input with --sr, or {obs_flag} with --mask")
     obs = _read_finite(args.obs)
     if kind == "sci":
@@ -235,10 +257,9 @@ def _run_solver(args):
     x, params, history = solver(model, cfg, x0=x0)
     metrics = _report(x, ref, args.peak) if ref is not None else None
 
-    result = assemble(x, model)
-    write_tensor(args.out, result.x)
+    write_tensor(args.out, x)
     if args.sparse:
-        write_tensor(args.sparse, result.sparse)
+        write_tensor(args.sparse, assemble(x, model).sparse)
     if args.save_transform:
         write_tensor(args.save_transform, forward_f(x0, params)[0])
     # An empty history (--tmax 0) writes no CSV, so the manifest names none.
@@ -368,14 +389,13 @@ def build_parser():
     s = sub.add_parser("complete", help="tensor completion")
     _add_observation_flags(s, "--obs", sr=1.0)
     _add_solver_flags(s)
-    s.set_defaults(func=_run_solver, kind="tc", noise_sr=0.0, sigma=0.0, sparse=None)
+    s.set_defaults(func=_run_solver, kind="tc", sparse=None)
 
     s = sub.add_parser("robust-complete", help="completion under sparse corruption")
-    _add_observation_flags(s, "--obs", sr=1.0)
-    s.add_argument("--noise-sr", type=float, default=0.1)
+    _add_observation_flags(s, "--obs", sr=1.0, noise_sr=0.1)
     s.add_argument("--sparse", default=None, help="write the implied sparse part")
     _add_solver_flags(s)
-    s.set_defaults(func=_run_solver, kind="rtc", sigma=0.0)
+    s.set_defaults(func=_run_solver, kind="rtc")
 
     s = sub.add_parser("subtract", help="background subtraction")
     s.add_argument("--input", required=True, help="the video")
@@ -385,16 +405,16 @@ def build_parser():
     s.set_defaults(func=_run_solver, kind="bs")
 
     s = sub.add_parser("sci", help="snapshot compressive imaging")
-    _add_observation_flags(s, "--measurement", sr=0.25)
-    s.add_argument("--sigma", type=float, default=0.0)
+    _add_observation_flags(s, "--measurement", sr=0.25, sigma=0.0)
     _add_solver_flags(s)
-    s.set_defaults(func=_run_solver, kind="sci", noise_sr=0.0, sparse=None)
+    s.set_defaults(func=_run_solver, kind="sci", sparse=None)
 
     s = sub.add_parser("metrics", help="psnr / ssim / sam report")
     s.add_argument("x")
     s.add_argument("ref")
-    s.add_argument("--peak", type=float, default=1.0)
-    s.add_argument("--peak-from-ref", action="store_true")
+    peak = s.add_mutually_exclusive_group()
+    peak.add_argument("--peak", type=float, default=1.0)
+    peak.add_argument("--peak-from-ref", action="store_true", help="peak = max |ref|")
     s.add_argument("--out", default=None)
     s.set_defaults(func=_cmd_metrics)
 

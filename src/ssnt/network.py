@@ -34,29 +34,32 @@ the outputs.  Every stack run checks its output: NaN or inf raises
 
 Every public function here, and every solve, runs with BLAS on one
 thread (``ssnt._blas.single_thread``); the library spreads its work
-over its own pool of one thread per usable cpu instead.  A training
-step's forward pass runs ``f``, starts the SVD stack in chunks on the
-pool and runs ``g`` on the calling thread; :func:`loss_and_grad` then
-runs the fidelity and TV terms and ``g``'s backward pass before it
-waits for the chunks.  The solvers run each step's forward pass right
-after the Adam step that fixes its weights and hand it to the step as
-``ahead``, so the TV update reads that pass's ``x`` while the chunks
-run, and the last pass, whose ``x`` is the estimate, starts no SVDs.
-``f``'s passes, and every stack run while no chunk holds the pool,
-split each large layer product into fixed blocks on the pool:
-``W @ X``, the activation, its derivative and ``W.T @ dZ`` by columns,
-the weight gradient ``dZ @ X.T`` by rows of ``dZ``, so that each entry
-keeps its whole reduction.  The blocks do not depend on the
-number of threads, and each entry has the bytes of the whole product,
-so results depend neither on the thread count nor on how the
-environment set BLAS.  When no OpenBLAS thread setter is found, BLAS
-keeps the count it read from ``OPENBLAS_NUM_THREADS`` or
+over its own pool of one thread per usable cpu instead.  All work
+reaches the pool one way: a job is a list of fixed blocks, started
+together and joined together, and while a job this thread started is
+pending no layer product it runs is split.  A training step's forward
+pass runs ``f``, starts the SVD stack in chunks on the pool and runs
+``g``, whole, on the calling thread; :func:`loss_and_grad` then runs
+the fidelity and TV terms and ``g``'s backward pass before it joins
+the chunks.  The solvers run each step's forward pass right after the
+Adam step that fixes its weights and hand it to the step as ``ahead``,
+so the TV update reads that pass's ``x`` while the chunks run, and the
+last pass, whose ``x`` is the estimate, starts no SVDs.  Every other
+stack run splits each large layer product into blocks on the pool and
+joins them at once: ``W @ X``, the activation, its derivative and
+``W.T @ dZ`` by columns, the weight gradient ``dZ @ X.T`` by rows of
+``dZ``, so that each entry keeps its whole reduction.  The blocks do
+not depend on the number of threads, and each entry has the bytes of
+the whole product, so results depend neither on the thread count nor
+on how the environment set BLAS.  When no OpenBLAS thread setter is
+found, BLAS keeps the count it read from ``OPENBLAS_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` (all usable cpus when neither is set), and the pool
 has ``max(1, cpus // blas_threads)`` threads, so BLAS's own threads are
 never oversubscribed; with one, everything runs on the calling thread.
 """
 
 import contextvars
+import functools
 import math
 import os
 import re
@@ -205,8 +208,8 @@ def _run_stack(t, layers):
     for lay in layers:
         w, act = lay.weight, lay.activation
         z = np.empty((w.shape[0], n), dtype=np.result_type(w, x))
-        _run((lambda lo, hi: act.apply_in_place(np.matmul(w, x[:, lo:hi], out=z[:, lo:hi])),
-              _blocks(n, _BLOCK_COLS, w.size)))
+        _start((lambda lo, hi: act.apply_in_place(np.matmul(w, x[:, lo:hi], out=z[:, lo:hi])),
+                _blocks(n, _BLOCK_COLS, w.size)))()
         x = z
         tape.append(x)
     if not np.isfinite(x).all():
@@ -244,8 +247,8 @@ def _backward_stack(layers, tape, cotangent, input_grad=True):
     out = tape.pop()
     if layers:
         act = layers[-1].activation
-        _run((lambda lo, hi: act.backprop_in_place(out[:, lo:hi], dz[:, lo:hi]),
-              _blocks(n, _BLOCK_COLS, layers[-1].weight.size)))
+        _start((lambda lo, hi: act.backprop_in_place(out[:, lo:hi], dz[:, lo:hi]),
+                _blocks(n, _BLOCK_COLS, layers[-1].weight.size)))()
     for i in range(len(layers) - 1, -1, -1):
         w = layers[i].weight
         out = tape.pop()  # layer i's input; its output is freed before the next cotangent exists
@@ -263,7 +266,7 @@ def _backward_stack(layers, tape, cotangent, input_grad=True):
                     act.backprop_in_place(out[:, lo:hi], g[:, lo:hi])
 
             parts.append((cotangent_block, _blocks(n, _BLOCK_COLS, w.size)))
-        _run(*parts)
+        _start(*parts)()
         dz = g
     return grads, dz
 
@@ -304,8 +307,8 @@ _EXECUTORS = {}
 if hasattr(os, "register_at_fork"):
     # A forked child has none of its parent's worker threads.
     os.register_at_fork(after_in_child=_EXECUTORS.clear)
-# Whether SVD chunks this thread started hold the pool; layer products
-# then run whole on this thread rather than queue behind the chunks.
+# Whether jobs this thread started are pending on the pool; layer
+# products then run whole on this thread rather than queue behind them.
 _HELD = threading.local()
 
 
@@ -314,25 +317,6 @@ def _workers():
     if _WORKERS is None:
         _WORKERS = _worker_count()
     return _WORKERS
-
-
-def _submit(workers, fn, *args):
-    """Start ``fn(*args)`` on the pool of ``workers`` threads, in a copy of
-    this thread's context, so that numpy's error state carries over."""
-    pool = _EXECUTORS.get(workers)
-    if pool is None:
-        from concurrent.futures import ThreadPoolExecutor  # only multi-core runs pay its import
-
-        pool = _EXECUTORS[workers] = ThreadPoolExecutor(workers, thread_name_prefix="ssnt-worker")
-    return pool.submit(contextvars.copy_context().run, fn, *args)
-
-
-def _wait(jobs):
-    """Wait for every job, then raise the first failure."""
-    for job in jobs:
-        job.exception()  # waits; a failed job still lets the others finish
-    for job in jobs:
-        job.result()
 
 
 def _blocks(n, step, work):
@@ -351,14 +335,37 @@ def _blocks(n, step, work):
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _run(*parts):
-    """Call ``fn(lo, hi)`` for every block of every ``(fn, blocks)`` part:
-    on the pool when some part has more than one block, else here."""
-    if all(len(blocks) == 1 for _, blocks in parts):
-        for fn, ((lo, hi),) in parts:
+def _start(*parts):
+    """Start ``fn(lo, hi)`` for every block of every ``(fn, blocks)`` part
+    and return the join, which waits for every block and then raises the
+    first failure.  When no part splits, or the pool has one thread, the
+    blocks run here before this returns.  Otherwise each runs on the pool
+    in a copy of this thread's context, so that numpy's error state
+    carries over, and until the join this thread holds the pool."""
+    workers = _workers()
+    jobs = [(fn, lo, hi) for fn, blocks in parts for lo, hi in blocks]
+    if workers == 1 or all(len(blocks) == 1 for _, blocks in parts):
+        for fn, lo, hi in jobs:
             fn(lo, hi)
-        return
-    _wait([_submit(_workers(), fn, lo, hi) for fn, blocks in parts for lo, hi in blocks])
+        return lambda: None
+    pool = _EXECUTORS.get(workers)
+    if pool is None:
+        from concurrent.futures import ThreadPoolExecutor  # only multi-core runs pay its import
+
+        pool = _EXECUTORS[workers] = ThreadPoolExecutor(workers, thread_name_prefix="ssnt-worker")
+    jobs = [pool.submit(contextvars.copy_context().run, *job) for job in jobs]
+    _HELD.pool = True
+
+    def join():
+        try:
+            for job in jobs:
+                job.exception()  # waits; a failed job still lets the others finish
+        finally:
+            _HELD.pool = False
+        for job in jobs:
+            job.result()
+
+    return join
 
 
 def _subgrad_chunk(stack, sub, norms, lo, hi):
@@ -374,39 +381,25 @@ def _subgrad_chunk(stack, sub, norms, lo, hi):
         sub[lo + k] = u[k][:, keep[k]] @ vh[k][keep[k], :]
 
 
-def _lowrank_chunks(stack, workers):
+def _lowrank_chunks(stack):
     """Start the subgradients and nuclear norms of every matrix of a
-    ``(K, r, c)`` stack, split into contiguous chunks run on ``workers``
-    threads, and return the join: a call that waits for every chunk and
-    returns ``(sub, norms)``.  With one worker (or one chunk) the chunks
-    run here, before this returns, and no thread is used.  Each matrix is
-    computed the same way whatever the chunking, so the results do not
-    depend on ``workers``.  Until the join returns, ``stack`` must not
-    be written and the results must not be read."""
+    ``(K, r, c)`` stack in contiguous chunks, one per pool thread or
+    more to keep chunks near ``_CHUNK_ENTRIES``, and return the join: a
+    call that waits for every chunk and returns ``(sub, norms)``.  Each matrix is computed the same way
+    whatever the chunking, so the results do not depend on the pool.
+    Until the join returns, ``stack`` must not be written and the
+    results must not be read."""
     k = stack.shape[0]
     sub = np.empty(stack.shape, dtype=np.result_type(stack.dtype, np.float64))
     norms = np.zeros(k)
     if stack.size == 0:
         return lambda: (sub, norms)
     per_chunk = max(1, _CHUNK_ENTRIES // (stack.shape[1] * stack.shape[2]))
-    n = min(k, max(-(-k // per_chunk), workers))
+    n = min(k, max(-(-k // per_chunk), _workers()))
     edges = [k * i // n for i in range(n + 1)]
-    bounds = list(zip(edges[:-1], edges[1:]))
-    if workers == 1 or n == 1:
-        for lo, hi in bounds:
-            _subgrad_chunk(stack, sub, norms, lo, hi)
-        return lambda: (sub, norms)
-    jobs = [_submit(workers, _subgrad_chunk, stack, sub, norms, lo, hi) for lo, hi in bounds]
-    _HELD.pool = True
-
-    def join():
-        try:
-            _wait(jobs)
-        finally:
-            _HELD.pool = False
-        return sub, norms
-
-    return join
+    join = _start((functools.partial(_subgrad_chunk, stack, sub, norms),
+                   list(zip(edges[:-1], edges[1:]))))
+    return lambda: join() or (sub, norms)  # the join returns None
 
 
 @_blas.single_thread()
@@ -423,7 +416,7 @@ def nuclear_subgrad(m):
     if m.ndim < 2:
         raise ValueError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
     stack = m.reshape((math.prod(m.shape[:-2]),) + m.shape[-2:])
-    sub, norms = _lowrank_chunks(stack, _workers())()
+    sub, norms = _lowrank_chunks(stack)()
     return sub.reshape(m.shape), norms.reshape(m.shape[:-2])
 
 
@@ -440,7 +433,7 @@ class _ForwardPass:
         y, self._tape_f = forward_f(obs, params)
         stack = np.moveaxis(y, 2, 0)
         # With lam = 0 the low-rank term is 0: start nothing, on an empty stack.
-        self._join = _lowrank_chunks(stack if lam > 0.0 else stack[:0], _workers())
+        self._join = _lowrank_chunks(stack if lam > 0.0 else stack[:0])
         try:
             self.x, self._tape_g = forward_g(y, params)
         except BaseException:

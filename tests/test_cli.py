@@ -169,6 +169,21 @@ class TestComplete:
         write_tensor(lib, x)
         assert out.read_bytes() == lib.read_bytes()
 
+    def test_linear_is_the_identity_activation(self, tmp_path, truth_file):
+        """--linear records ``activation: identity`` and computes what the
+        library computes with that activation."""
+        out, manifest = tmp_path / "rec.ssnt", tmp_path / "run.json"
+        assert run("complete", "--input", truth_file, "--sr", "0.5", "--tmax", "3", "--seed", "1",
+                   "--linear", "--out", out, "--manifest", manifest) == 0
+        assert RunManifest.load(manifest).config["activation"] == "identity"
+        truth = read_tensor(truth_file)
+        model = degrade(truth, "tc", SamplingSpec(sr=0.5, seed=1))
+        cfg = replace(default_config("tc", truth.shape), t_max=3, seed=1, activation="identity")
+        x, _, _ = solve_ssnt(model, cfg)
+        lib = tmp_path / "lib.ssnt"
+        write_tensor(lib, x)
+        assert out.read_bytes() == lib.read_bytes()
+
     def test_save_transform(self, tmp_path, truth_file):
         out = tmp_path / "rec.ssnt"
         trans = tmp_path / "f_of_obs.ssnt"
@@ -219,6 +234,23 @@ class TestOtherSolvers:
 
 
 class TestMetricsCommand:
+    def test_peak_from_ref(self, tmp_path, truth_file, capsys):
+        ref = read_tensor(truth_file)
+        ref[1, 2, 3] = -3.5  # the largest magnitude is negative
+        ref_file, report = tmp_path / "ref.ssnt", tmp_path / "report.csv"
+        write_tensor(ref_file, ref)
+        assert run("metrics", truth_file, ref_file, "--peak-from-ref", "--out", report) == 0
+        capsys.readouterr()
+        header, row = report.read_text().strip().split("\n")
+        assert float(dict(zip(header.split(","), row.split(",")))["peak"]) == float(np.abs(ref).max()) == 3.5
+
+    def test_peak_and_peak_from_ref_exclude_each_other(self, tmp_path, truth_file, capsys):
+        report = tmp_path / "report.csv"
+        assert run("metrics", truth_file, truth_file, "--peak", "5", "--peak-from-ref",
+                   "--out", report) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_self_comparison(self, tmp_path, truth_file, capsys):
         report = tmp_path / "report.csv"
         assert run("metrics", truth_file, truth_file, "--out", report) == 0
@@ -533,6 +565,66 @@ class TestFailEarly:
         assert code == 5
         assert "sigma must be finite and nonnegative" in capsys.readouterr().err
         assert not any(p.exists() for p in paths.values())
+
+    @pytest.mark.parametrize("command", ["complete", "robust-complete", "sci"])
+    def test_input_excludes_the_observation_files(self, tmp_path, command, capsys):
+        """None of the files exists: exit 5, not 3, shows the flags were
+        checked before any file was read."""
+        missing = tmp_path / "missing.ssnt"
+        obs_flag = "--measurement" if command == "sci" else "--obs"
+        assert run(command, "--input", missing, obs_flag, missing, "--mask", missing,
+                   "--tmax", "1", "--out", tmp_path / "x.ssnt") == 5
+        assert f"drop {obs_flag} and --mask" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flag", [
+        ("complete", "--sr"), ("robust-complete", "--sr"), ("robust-complete", "--noise-sr"),
+        ("sci", "--sr"), ("sci", "--sigma"),
+    ])
+    def test_sampling_flag_needs_input(self, tmp_path, command, flag, capsys):
+        missing = tmp_path / "missing.ssnt"
+        obs_flag = "--measurement" if command == "sci" else "--obs"
+        assert run(command, obs_flag, missing, "--mask", missing, flag, "0.3",
+                   "--tmax", "1", "--out", tmp_path / "x.ssnt") == 5
+        assert f"detail='{flag} needs --input" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("complete", "--sr", "1.0"),
+        ("robust-complete", "--sr", "1.0", "--noise-sr", "0.1"),
+        ("sci", "--sr", "0.25", "--sigma", "0.0"),
+    ], ids=["complete", "robust-complete", "sci"])
+    def test_sampling_defaults_with_input(self, tmp_path, truth_file, argv, capsys):
+        """With --input, leaving the sampling flags out means their
+        documented defaults."""
+        outs = []
+        for tag, flags in (("default", ()), ("explicit", argv[1:])):
+            out = tmp_path / f"{tag}.ssnt"
+            assert run(argv[0], "--input", truth_file, *flags, "--tmax", "2", "--seed", "4",
+                       "--out", out) == 0
+            outs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command, given", [
+        ("complete", ()), ("complete", ("--obs",)), ("complete", ("--mask",)),
+        ("sci", ("--measurement",)),
+    ], ids=["complete-none", "complete-obs", "complete-mask", "sci-measurement"])
+    def test_needs_input_or_both_observation_files(self, tmp_path, truth_file, command, given, capsys):
+        obs_flag = "--measurement" if command == "sci" else "--obs"
+        argv = [a for flag in given for a in (flag, truth_file)]
+        assert run(command, *argv, "--tmax", "1", "--out", tmp_path / "x.ssnt") == 5
+        assert f"need either --input with --sr, or {obs_flag} with --mask" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [truth_file]
+
+    def test_sci_measurement_must_be_one_slice(self, tmp_path, truth_file, capsys):
+        mask = tmp_path / "mask.ssnt"
+        write_tensor(mask, np.ones(read_tensor(truth_file).shape))
+        out = tmp_path / "x.ssnt"
+        assert run("sci", "--measurement", truth_file, "--mask", mask, "--tmax", "1",
+                   "--out", out) == 5
+        assert "sci measurement file must have dims n1,n2,1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_degrade_bs_rejects_a_mask(self, tmp_path, truth_file, capsys):
         obs, mask = tmp_path / "obs.ssnt", tmp_path / "m.ssnt"

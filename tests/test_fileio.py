@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssnt import fileio
 from ssnt.fileio import (
     FormatError,
     RunManifest,
@@ -165,6 +166,27 @@ class TestTensorFile:
         with pytest.raises(ValueError, match="zero dimension"):
             write_tensor(tmp_path / "t.ssnt", np.zeros(dims))
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fault", ["write", "replace"])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, fault):
+        """A write that fails once its temporary file exists, mid-way
+        through the buffers or at the final rename, raises, removes the
+        ``.ssnt-tmp-*`` file and leaves the old target as it was."""
+        path = tmp_path / "t.ssnt"
+        write_tensor(path, np.ones((2, 2, 2)))
+        before = path.read_bytes()
+        if fault == "write":
+            with pytest.raises(TypeError):
+                fileio._atomic_write(path, b"first buffer", object())  # the second write fails
+        else:
+            def no_space(src, dst):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(fileio.os, "replace", no_space)
+            with pytest.raises(OSError, match="No space"):
+                write_tensor(path, np.zeros((2, 2, 2)))
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
 
 
 class TestManifest:

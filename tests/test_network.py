@@ -301,11 +301,13 @@ class TestLossAndGrad:
             assert np.array_equal(ga, gb)
 
     def test_nonfinite_loss_aborts(self):
+        """A finite reconstruction whose fidelity overflows fails at the
+        loss check, after the network's output check has passed."""
         obs, params, model, cfg = tc_setup((3, 3, 3), 4, seed=14)
-        bad = [w.copy() for w in params.weights()]
-        bad[0][0, 0] = np.inf
-        with pytest.raises(FloatingPointError):
-            loss_and_grad(obs, params.with_weights(bad), model, cfg)
+        model = ObservationModel("tc", 1e200 * model.mask, model.mask)  # finite; its square is not
+        assert np.isfinite(reconstruct(obs, params)).all()
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite loss"):
+            loss_and_grad(obs, params, model, cfg)
 
     @staticmethod
     def overflowing(f_scale, g_scale):
@@ -433,12 +435,14 @@ class TestLowrankStep:
         st = np.random.default_rng(22).standard_normal((13, 40, 30))
         st[4] = 0.0
         monkeypatch.setattr(network, "_CHUNK_ENTRIES", 40 * 30)
-        sub1, norms1 = network._lowrank_chunks(st, 1)()
+        monkeypatch.setattr(network, "_WORKERS", 1)
+        sub1, norms1 = network._lowrank_chunks(st)()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for workers in (2, 8):
-                sub, norms = network._lowrank_chunks(st, workers)()
+                monkeypatch.setattr(network, "_WORKERS", workers)
+                sub, norms = network._lowrank_chunks(st)()
                 assert sub.tobytes() == sub1.tobytes()
                 assert norms.tobytes() == norms1.tobytes()
         finally:
@@ -520,6 +524,45 @@ class TestLowrankStep:
         assert log["started"] == [threading.current_thread()] * 10
         assert len(log["finished"]) == 10 and network._EXECUTORS == {}
 
+    def test_one_worker_starts_no_pool_at_paper_scale(self, monkeypatch):
+        """At 128x128x31 f's layer products are large enough to split, yet
+        with one worker neither they nor the SVD chunks start a pool."""
+        obs, params, model, cfg = tc_setup((128, 128, 31), 62, seed=33)
+        monkeypatch.setattr(network, "_WORKERS", 1)
+        monkeypatch.setattr(network, "_EXECUTORS", {})
+        loss_and_grad(obs, params, model, cfg)
+        reconstruct(obs, params)
+        assert network._EXECUTORS == {}
+
+    def test_failing_layer_block_is_raised_after_the_others_finish(self, monkeypatch):
+        """f's first layer at 128x128x31 runs as 8 blocks on 2 workers; the
+        first block to start raises, and the join reports it only once the
+        other 7 are done, with the pool no longer held."""
+        obs, params, _, _ = tc_setup((128, 128, 31), 62, seed=34)
+        monkeypatch.setattr(network, "_WORKERS", 2)
+        log = {"threads": set(), "started": 0, "finished": 0}
+        lock = threading.Lock()
+        real = network.Activation.apply_in_place
+
+        def slow_apply(act, z):
+            with lock:
+                log["threads"].add(threading.current_thread())
+                log["started"] += 1
+                first = log["started"] == 1
+            if first:
+                raise RuntimeError("block failed")
+            time.sleep(0.02)
+            real(act, z)
+            with lock:
+                log["finished"] += 1
+
+        monkeypatch.setattr(network.Activation, "apply_in_place", slow_apply)
+        with pytest.raises(RuntimeError, match="block failed"):
+            forward_f(obs, params)
+        assert log["started"] == 8 and log["finished"] == 7
+        assert threading.current_thread() not in log["threads"]
+        assert not getattr(network._HELD, "pool", False)
+
     def test_nonfinite_g_output_leaves_no_chunk_running(self, monkeypatch):
         obs, params, model, cfg, _ = self.overlap_setup("tc")
         bad = [w.copy() for w in params.weights()]
@@ -581,15 +624,16 @@ class TestSplitLayers:
 
     @staticmethod
     def split_counter(monkeypatch):
-        """Count the ``_run`` calls that split into more than one block."""
+        """Count the layer products that split into more than one block."""
         calls = {"split": 0, "whole": 0}
-        real = network._run
+        real = network._blocks
 
-        def counting(*parts):
-            calls["split" if any(len(b) > 1 for _, b in parts) else "whole"] += 1
-            return real(*parts)
+        def counting(n, step, work):
+            blocks = real(n, step, work)
+            calls["split" if len(blocks) > 1 else "whole"] += 1
+            return blocks
 
-        monkeypatch.setattr(network, "_run", counting)
+        monkeypatch.setattr(network, "_blocks", counting)
         return calls
 
     @pytest.mark.parametrize("dims, width, split", [

@@ -544,9 +544,9 @@ class TestForwardPassAhead:
             calls["forward_f"] += 1
             return real_f(t, params)
 
-        def lowrank_chunks(stack, workers):
+        def lowrank_chunks(stack):
             calls["stacks"].append(stack.shape[0])
-            return real_chunks(stack, workers)
+            return real_chunks(stack)
 
         monkeypatch.setattr(network, "forward_f", forward_f)
         monkeypatch.setattr(network, "_lowrank_chunks", lowrank_chunks)
