@@ -15,15 +15,16 @@ reference; for ``subtract`` it is the video.  ``--input`` excludes
 ``--noise-sr`` and ``--sigma`` need it; both rules are checked before
 any file is read.  ``--ref`` is read, and its shape checked, before the
 solve.  ``metrics`` takes at most one of ``--peak`` and
-``--peak-from-ref``.  Every tensor file a command reads
-must hold only finite values; a NaN or inf fails with a message naming
-the file.  ``--peak`` must be finite and positive, and the solver
-commands check it before reading any input.  ``--tau`` and ``--beta`` need
-``--tv``.  ``degrade`` needs ``--mask`` for every kind but ``bs``,
-which has no mask and rejects it.  ``convert`` takes exactly one of
-``--from-csv`` (with ``--dims``) and ``--to-csv``, and rejects a CSV
-holding NaN or inf.  A malformed ``--dims`` or ``--layers``, a
-negative ``--seed`` and a ``--tubal-rank`` below 1 are usage errors.
+``--peak-from-ref``, which rejects an all-zero reference.  Every tensor
+file read must hold only finite values; a NaN or inf fails naming the
+file.  ``--peak`` must be finite and positive; the solver commands check
+it before reading any input.  ``--tau`` and ``--beta`` need ``--tv``.
+``degrade`` needs ``--mask`` for every kind but ``bs``, which rejects
+it.  ``convert`` takes one of ``--from-csv`` (with ``--dims``) and
+``--to-csv`` (with none of ``--dims``, ``--no-normalize``, ``--manifest``)
+and rejects a CSV holding NaN or inf.  A malformed ``--dims`` or
+``--layers``, a negative ``--seed`` and a ``--tubal-rank`` below 1 are
+usage errors.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 malformed tensor
 file, 5 inconsistent shapes or configuration.  Failures print one
@@ -305,6 +306,8 @@ def _cmd_metrics(args):
     x = _read_finite(args.x)
     ref = _read_finite(args.ref)
     peak = float(np.abs(ref).max()) if args.peak_from_ref else args.peak
+    if args.peak_from_ref and peak == 0.0:
+        raise ValueError(f"--peak-from-ref takes the peak from {args.ref}, which is all zero")
     row = _report(x, ref, peak)
     if args.out:
         write_csv(args.out, row, [row.values()])
@@ -459,6 +462,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.command == "convert" and args.from_csv is not None and args.dims is None:
             parser.error("convert --from-csv needs --dims n1,n2,n3")
+        if args.command == "convert" and args.to_csv is not None:
+            for flag in ("--dims", "--no-normalize", "--manifest"):  # the --from-csv flags
+                if getattr(args, flag[2:].replace("-", "_")) not in (None, False):
+                    parser.error(f"convert --to-csv does not take {flag}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

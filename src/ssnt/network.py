@@ -33,29 +33,25 @@ the outputs.  Every stack run checks its output: NaN or inf raises
 :func:`reconstruct` and :func:`loss_and_grad` alike.
 
 Every public function here, and every solve, runs with BLAS on one
-thread (``ssnt._blas.single_thread``); the library spreads its work
-over its own pool of one thread per usable cpu instead.  All work
-reaches the pool one way: a job is a list of fixed blocks, started
-together and joined together, and while a job this thread started is
-pending no layer product it runs is split.  A training step's forward
-pass runs ``f``, starts the SVD stack in chunks on the pool and runs
-``g``, whole, on the calling thread; :func:`loss_and_grad` then runs
-the fidelity and TV terms and ``g``'s backward pass before it joins
-the chunks.  The solvers run each step's forward pass right after the
-Adam step that fixes its weights and hand it to the step as ``ahead``,
-so the TV update reads that pass's ``x`` while the chunks run, and the
-last pass, whose ``x`` is the estimate, starts no SVDs.  Every other
-stack run splits each large layer product into blocks on the pool and
-joins them at once: ``W @ X``, the activation, its derivative and
-``W.T @ dZ`` by columns, the weight gradient ``dZ @ X.T`` by rows of
-``dZ``, so that each entry keeps its whole reduction.  The blocks do
-not depend on the number of threads, and each entry has the bytes of
-the whole product, so results depend neither on the thread count nor
-on how the environment set BLAS.  When no OpenBLAS thread setter is
-found, BLAS keeps the count it read from ``OPENBLAS_NUM_THREADS`` or
-``OMP_NUM_THREADS`` (all usable cpus when neither is set), and the pool
-has ``max(1, cpus // blas_threads)`` threads, so BLAS's own threads are
-never oversubscribed; with one, everything runs on the calling thread.
+thread (``ssnt._blas.single_thread``) and spreads its work over the
+library's own pool of one thread per usable cpu.  One rule cuts every
+pool job into fixed blocks, started and joined together: a layer
+product's ``W @ X``, activation, derivative and ``W.T @ dZ`` by columns
+and its weight gradient ``dZ @ X.T`` by rows of ``dZ``, so that each
+entry keeps its whole reduction, and the SVD job by matrices.  A job
+runs whole on the calling thread unless every block does enough work
+to pay for the pool, the pool has more than one thread and no job this
+thread started is pending.  The blocks do not depend on the thread
+count, so neither do the bytes.  A training step's forward pass runs
+``f``, starts the SVD job and runs ``g``; :func:`loss_and_grad` runs the
+fidelity and TV terms and ``g``'s backward pass before it joins the
+SVDs.  The solvers build each step's pass right after the Adam step
+that fixes its weights, so the TV update reads its ``x`` while the SVDs
+run.  When no OpenBLAS thread setter is found, BLAS keeps the count it
+read from ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` (all usable
+cpus when neither is set), and the pool has
+``max(1, cpus // blas_threads)`` threads, so BLAS's own threads are
+never oversubscribed.
 """
 
 import contextvars
@@ -287,19 +283,17 @@ def _worker_count():
 
 
 _WORKERS = None  # _worker_count(), taken on first use
-# Matrix entries per SVD chunk (512 KB of float64), which bounds the
-# U/Vh temporaries each worker holds.
-_CHUNK_ENTRIES = 1 << 16
 # A layer product runs on the pool in blocks of _BLOCK_COLS columns of
 # its right-hand matrix, or, for a weight gradient dZ @ X.T, of
-# _BLOCK_ROWS rows of dZ.  Blocks start at multiples of 64 columns and
-# of 4 rows, and every block does at least _BLOCK_WORK multiply-adds:
-# OpenBLAS takes other kernels, which round differently, for block
-# edges off those multiples and for products of at most 1e6
-# multiply-adds.  So each entry of a split product has the bytes of the
-# whole product's.
+# _BLOCK_ROWS rows of dZ, and the SVD job in blocks of _BLOCK_MATRICES
+# matrices.  Blocks start at multiples of 64 columns and of 4 rows, and
+# each does at least _BLOCK_WORK multiply-adds: OpenBLAS takes other
+# kernels, which round differently, for block edges off those multiples
+# and for products of at most 1e6 multiply-adds, and smaller jobs do not
+# pay for the pool's hand-offs.
 _BLOCK_COLS = 2048
 _BLOCK_ROWS = 32
+_BLOCK_MATRICES = 8
 _BLOCK_WORK = 1 << 21
 # Worker pools live for the process: starting one per call costs about
 # 0.4 ms, a few percent of a small iteration.
@@ -307,8 +301,8 @@ _EXECUTORS = {}
 if hasattr(os, "register_at_fork"):
     # A forked child has none of its parent's worker threads.
     os.register_at_fork(after_in_child=_EXECUTORS.clear)
-# Whether jobs this thread started are pending on the pool; layer
-# products then run whole on this thread rather than queue behind them.
+# Whether jobs this thread started are pending on the pool; its other
+# jobs then run whole on this thread rather than queue behind them.
 _HELD = threading.local()
 
 
@@ -320,11 +314,12 @@ def _workers():
 
 
 def _blocks(n, step, work):
-    """Bounds of the blocks of ``range(n)`` a layer product runs in:
-    ``step`` indices each, a short last one joined to the block before
-    it, when every block does at least ``_BLOCK_WORK`` multiply-adds at
-    ``work`` per index and the pool is free; else the whole range.  The
-    bounds never depend on the number of workers."""
+    """Bounds of the blocks of ``range(n)`` a pool job runs in: ``step``
+    indices each, a short last one joined to the block before it, when
+    every block does at least ``_BLOCK_WORK`` multiply-adds at ``work``
+    per index, the pool has more than one thread and it is free; else
+    the whole range.  The bounds never depend on the number of
+    workers."""
     if n <= step or step * work < _BLOCK_WORK or _workers() == 1 or getattr(_HELD, "pool", False):
         return [(0, n)]
     starts = list(range(0, n, step))
@@ -338,16 +333,16 @@ def _blocks(n, step, work):
 def _start(*parts):
     """Start ``fn(lo, hi)`` for every block of every ``(fn, blocks)`` part
     and return the join, which waits for every block and then raises the
-    first failure.  When no part splits, or the pool has one thread, the
+    first failure.  When no part splits (as on a pool of one thread), the
     blocks run here before this returns.  Otherwise each runs on the pool
     in a copy of this thread's context, so that numpy's error state
     carries over, and until the join this thread holds the pool."""
-    workers = _workers()
     jobs = [(fn, lo, hi) for fn, blocks in parts for lo, hi in blocks]
-    if workers == 1 or all(len(blocks) == 1 for _, blocks in parts):
+    if all(len(blocks) == 1 for _, blocks in parts):
         for fn, lo, hi in jobs:
             fn(lo, hi)
         return lambda: None
+    workers = _workers()
     pool = _EXECUTORS.get(workers)
     if pool is None:
         from concurrent.futures import ThreadPoolExecutor  # only multi-core runs pay its import
@@ -383,22 +378,20 @@ def _subgrad_chunk(stack, sub, norms, lo, hi):
 
 def _lowrank_chunks(stack):
     """Start the subgradients and nuclear norms of every matrix of a
-    ``(K, r, c)`` stack in contiguous chunks, one per pool thread or
-    more to keep chunks near ``_CHUNK_ENTRIES``, and return the join: a
-    call that waits for every chunk and returns ``(sub, norms)``.  Each matrix is computed the same way
-    whatever the chunking, so the results do not depend on the pool.
-    Until the join returns, ``stack`` must not be written and the
-    results must not be read."""
-    k = stack.shape[0]
+    ``(K, r, c)`` stack in the blocks of :func:`_blocks`, and return the
+    join, which waits for them and returns ``(sub, norms)``.  Each matrix
+    is computed the same way in any block, so the results do not depend
+    on the pool.  Until the join, ``stack`` must not be written nor the
+    results read."""
+    k, r, c = stack.shape
     sub = np.empty(stack.shape, dtype=np.result_type(stack.dtype, np.float64))
     norms = np.zeros(k)
     if stack.size == 0:
         return lambda: (sub, norms)
-    per_chunk = max(1, _CHUNK_ENTRIES // (stack.shape[1] * stack.shape[2]))
-    n = min(k, max(-(-k // per_chunk), _workers()))
-    edges = [k * i // n for i in range(n + 1)]
+    # An r x c matrix's thin SVD and u @ vh count as 16 r c min(r, c)
+    # multiply-adds, a little above LAPACK's count (and slower per add).
     join = _start((functools.partial(_subgrad_chunk, stack, sub, norms),
-                   list(zip(edges[:-1], edges[1:]))))
+                   _blocks(k, _BLOCK_MATRICES, 16 * r * c * min(r, c))))
     return lambda: join() or (sub, norms)  # the join returns None
 
 

@@ -244,6 +244,17 @@ class TestMetricsCommand:
         header, row = report.read_text().strip().split("\n")
         assert float(dict(zip(header.split(","), row.split(",")))["peak"]) == float(np.abs(ref).max()) == 3.5
 
+    def test_peak_from_an_all_zero_ref(self, tmp_path, truth_file, capsys):
+        """The message names the flag and the reference file, not a
+        peak of 0.0 the user never gave."""
+        ref_file, report = tmp_path / "zero.ssnt", tmp_path / "report.csv"
+        write_tensor(ref_file, np.zeros((12, 12, 4)))
+        assert run("metrics", truth_file, ref_file, "--peak-from-ref", "--out", report) == 5
+        err = capsys.readouterr().err
+        assert "error code=5 kind=config" in err
+        assert "--peak-from-ref" in err and str(ref_file) in err and "all zero" in err
+        assert not report.exists()
+
     def test_peak_and_peak_from_ref_exclude_each_other(self, tmp_path, truth_file, capsys):
         report = tmp_path / "report.csv"
         assert run("metrics", truth_file, truth_file, "--peak", "5", "--peak-from-ref",
@@ -323,6 +334,20 @@ class TestConvert:
         assert code == 2
         assert "--from-csv" in capsys.readouterr().err
         assert not out.exists() and not manifest.exists()
+
+    @pytest.mark.parametrize("flag", [["--dims", "12,12,4"], ["--no-normalize"], ["--manifest", "m.json"]],
+                             ids=["dims", "no-normalize", "manifest"])
+    def test_to_csv_rejects_the_from_csv_flags(self, tmp_path, truth_file, flag, capsys, monkeypatch):
+        """Each is a usage error before any file is read, not a flag the
+        export silently ignores."""
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)  # where a relative --manifest would land
+        out = work / "x.csv"
+        for source in (tmp_path / "missing.ssnt", truth_file):  # a read of the first would exit 3
+            assert run("convert", "--to-csv", source, "--out", out, *flag) == 2
+            assert f"convert --to-csv does not take {flag[0]}" in capsys.readouterr().err
+        assert list(work.iterdir()) == []
 
     def test_from_csv_needs_dims(self, tmp_path, capsys):
         csv_path = tmp_path / "raw.csv"

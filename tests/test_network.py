@@ -434,7 +434,8 @@ class TestLowrankStep:
         cores and a short switch interval must not lose or mix a write."""
         st = np.random.default_rng(22).standard_normal((13, 40, 30))
         st[4] = 0.0
-        monkeypatch.setattr(network, "_CHUNK_ENTRIES", 40 * 30)
+        monkeypatch.setattr(network, "_BLOCK_MATRICES", 1)
+        monkeypatch.setattr(network, "_BLOCK_WORK", 1)
         monkeypatch.setattr(network, "_WORKERS", 1)
         sub1, norms1 = network._lowrank_chunks(st)()
         interval = sys.getswitchinterval()
@@ -452,7 +453,8 @@ class TestLowrankStep:
 
     def test_loss_and_grad_same_on_one_or_two_workers(self, monkeypatch):
         obs, params, model, cfg = tc_setup((20, 18, 5), 10, seed=23)
-        monkeypatch.setattr(network, "_CHUNK_ENTRIES", 2 * 20 * 18)
+        monkeypatch.setattr(network, "_BLOCK_MATRICES", 2)
+        monkeypatch.setattr(network, "_BLOCK_WORK", 1)
         runs = []
         for workers in (1, 2):
             monkeypatch.setattr(network, "_WORKERS", workers)
@@ -477,7 +479,8 @@ class TestLowrankStep:
         cores and a short switch interval the loss and every gradient
         keep their bytes."""
         obs, params, model, cfg, admm = self.overlap_setup(case)
-        monkeypatch.setattr(network, "_CHUNK_ENTRIES", 20 * 18)
+        monkeypatch.setattr(network, "_BLOCK_MATRICES", 1)
+        monkeypatch.setattr(network, "_BLOCK_WORK", 1)
         runs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -494,9 +497,10 @@ class TestLowrankStep:
 
     @staticmethod
     def counted_chunks(monkeypatch, workers=2, fail_first=False):
-        """Run the low-rank step as 10 slow chunks on ``workers`` threads
-        and record the thread each chunk started on and each chunk
-        finished; with ``fail_first`` the first chunk raises at once."""
+        """Run the low-rank step as 10 slow chunks on ``workers`` threads,
+        as one when ``workers`` is 1, and record the thread each chunk
+        started on and each chunk finished; with ``fail_first`` the first
+        chunk raises at once."""
         log = {"started": [], "finished": []}
         lock = threading.Lock()
         chunk = network._subgrad_chunk
@@ -512,7 +516,8 @@ class TestLowrankStep:
                 log["finished"].append(lo)
 
         monkeypatch.setattr(network, "_subgrad_chunk", slow_chunk)
-        monkeypatch.setattr(network, "_CHUNK_ENTRIES", 20 * 18)
+        monkeypatch.setattr(network, "_BLOCK_MATRICES", 1)
+        monkeypatch.setattr(network, "_BLOCK_WORK", 1)
         monkeypatch.setattr(network, "_WORKERS", workers)
         return log
 
@@ -521,8 +526,46 @@ class TestLowrankStep:
         log = self.counted_chunks(monkeypatch, workers=1)
         monkeypatch.setattr(network, "_EXECUTORS", {})
         loss_and_grad(obs, params, model, cfg)
-        assert log["started"] == [threading.current_thread()] * 10
-        assert len(log["finished"]) == 10 and network._EXECUTORS == {}
+        assert log["started"] == [threading.current_thread()]
+        assert log["finished"] == [0] and network._EXECUTORS == {}
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_small_calls_start_no_pool(self, monkeypatch, workers):
+        """At every shape of criterion 1's gradient check the SVD job,
+        like every layer product, is below the work floor: nothing
+        reaches the pool, however many threads it has."""
+        monkeypatch.setattr(network, "_WORKERS", workers)
+        monkeypatch.setattr(network, "_EXECUTORS", {})
+        for dims, width in [((3, 4, 3), 6), ((4, 4, 3), 6), ((4, 5, 4), 8), ((5, 4, 4), 8),
+                            ((4, 4, 5), 10), ((6, 6, 8), 16)]:
+            obs, params, model, cfg = tc_setup(dims, width, seed=35)
+            loss, _ = loss_and_grad(obs, params, model, cfg)
+            assert loss.l1_lowrank > 0.0
+        assert network._EXECUTORS == {}
+
+    @pytest.mark.parametrize("shape, bounds", [
+        ((16, 6, 6), [(0, 16)]),
+        ((48, 30, 30), [(i, i + 8) for i in range(0, 48, 8)]),
+        ((12, 30, 30), [(0, 12)]),  # a 4-matrix tail is below the floor, so nothing splits
+        ((62, 128, 128), [(i, i + 8) for i in range(0, 56, 8)] + [(56, 62)]),
+    ], ids=["16x6x6", "48x30x30", "12x30x30", "62x128x128"])
+    def test_svd_blocks(self, monkeypatch, shape, bounds):
+        """The SVD job takes its blocks from _blocks: the same bounds on
+        2 and 8 workers, and one block on one."""
+        st = np.random.default_rng(36).standard_normal(shape)
+        seen = []
+        chunk = network._subgrad_chunk
+
+        def logged(stack, sub, norms, lo, hi):
+            seen.append((lo, hi))
+            chunk(stack, sub, norms, lo, hi)
+
+        monkeypatch.setattr(network, "_subgrad_chunk", logged)
+        for workers, expect in ((2, bounds), (8, bounds), (1, [(0, shape[0])])):
+            monkeypatch.setattr(network, "_WORKERS", workers)
+            seen.clear()
+            nuclear_subgrad(st)
+            assert sorted(seen) == expect
 
     def test_one_worker_starts_no_pool_at_paper_scale(self, monkeypatch):
         """At 128x128x31 f's layer products are large enough to split, yet
@@ -624,13 +667,15 @@ class TestSplitLayers:
 
     @staticmethod
     def split_counter(monkeypatch):
-        """Count the layer products that split into more than one block."""
+        """Count the layer products that split into more than one block;
+        the SVD jobs, cut by the same rule, are left out."""
         calls = {"split": 0, "whole": 0}
         real = network._blocks
 
         def counting(n, step, work):
             blocks = real(n, step, work)
-            calls["split" if len(blocks) > 1 else "whole"] += 1
+            if step != network._BLOCK_MATRICES:
+                calls["split" if len(blocks) > 1 else "whole"] += 1
             return blocks
 
         monkeypatch.setattr(network, "_blocks", counting)
@@ -645,7 +690,6 @@ class TestSplitLayers:
         blocks.  Loss, gradients and the reconstruction keep their bytes.
         At 30x30x16 nothing splits."""
         obs, params, model, cfg = tc_setup(dims, width, p=2, q=3, seed=31)
-        monkeypatch.setattr(network, "_CHUNK_ENTRIES", dims[0] * dims[1] * 4)
         calls = self.split_counter(monkeypatch)
         runs = []
         interval = sys.getswitchinterval()
@@ -671,7 +715,6 @@ class TestSplitLayers:
         the SVD chunks: they run whole on the calling thread."""
         obs, params, model, cfg = tc_setup((96, 96, 31), 62, seed=32)
         monkeypatch.setattr(network, "_WORKERS", 2)
-        monkeypatch.setattr(network, "_CHUNK_ENTRIES", 96 * 96 * 4)
         held = []
         real = network._blocks
 
@@ -693,6 +736,8 @@ class TestSplitLayers:
         (900, 2048, 48 * 48, [(0, 900)]),
         (62, 32, 62 * 16384, [(0, 32), (32, 62)]),
         (62, 32, 31 * 900, [(0, 62)]),
+        (48, 8, 16 * 30 * 30 * 30, [(i, i + 8) for i in range(0, 48, 8)]),  # SVDs of (48, 30, 30)
+        (16, 8, 16 * 6 * 6 * 6, [(0, 16)]),  # SVDs of (16, 6, 6), criterion 1's largest stack
     ])
     def test_block_bounds(self, monkeypatch, n, step, work, expect):
         """Blocks start at multiples of the step; each does at least

@@ -308,7 +308,8 @@ class TestSolveSsntTv:
         truth = synth_low_tubal_rank((16, 14, 6), 2, seed=11)
         model = degrade(truth, "rtc", SamplingSpec(sr=0.6, noise_sr=0.1, seed=12))
         cfg = SolverConfig(lam=0.05, tau=0.05, beta=1.0, t_max=8, width=12, seed=13)
-        monkeypatch.setattr(network, "_CHUNK_ENTRIES", 3 * 16 * 14)
+        monkeypatch.setattr(network, "_BLOCK_MATRICES", 3)
+        monkeypatch.setattr(network, "_BLOCK_WORK", 1)
         runs = []
         for workers in (1, 2):
             monkeypatch.setattr(network, "_WORKERS", workers)
@@ -510,7 +511,8 @@ class TestForwardPassAhead:
     @pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
     def workers(self, request, monkeypatch):
         monkeypatch.setattr(network, "_WORKERS", request.param)
-        monkeypatch.setattr(network, "_CHUNK_ENTRIES", 2 * 16 * 14)
+        monkeypatch.setattr(network, "_BLOCK_MATRICES", 2)
+        monkeypatch.setattr(network, "_BLOCK_WORK", 1)
 
     @pytest.mark.parametrize("tv, inner", [(False, 1), (True, 1), (True, 3)],
                              ids=["tc", "rtc-inner1", "rtc-inner3"])
@@ -563,7 +565,8 @@ class TestForwardPassAhead:
         """Through the library and through the CLI, which then exits 5
         and writes nothing."""
         monkeypatch.setattr(network, "_WORKERS", 2)
-        monkeypatch.setattr(network, "_CHUNK_ENTRIES", 16 * 14)
+        monkeypatch.setattr(network, "_BLOCK_MATRICES", 1)
+        monkeypatch.setattr(network, "_BLOCK_WORK", 1)
         truth = tmp_path / "t.ssnt"
         assert main(["synth", "--dims", "12,10,6", "--out", str(truth)]) == 0
         log = ChunkLog(monkeypatch)
@@ -587,7 +590,8 @@ class TestForwardPassAhead:
 
     def test_ahead_is_taken_once_at_its_own_inputs(self, monkeypatch):
         monkeypatch.setattr(network, "_WORKERS", 2)
-        monkeypatch.setattr(network, "_CHUNK_ENTRIES", 16 * 14)
+        monkeypatch.setattr(network, "_BLOCK_MATRICES", 1)
+        monkeypatch.setattr(network, "_BLOCK_WORK", 1)
         log = ChunkLog(monkeypatch)
         _, model = rtc_instance()
         cfg = SolverConfig(lam=0.05, width=12, seed=23)
