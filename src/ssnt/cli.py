@@ -17,8 +17,9 @@ any file is read.  ``--ref`` is read, and its shape checked, before the
 solve.  ``metrics`` takes at most one of ``--peak`` and
 ``--peak-from-ref``, which rejects an all-zero reference.  Every tensor
 file read must hold only finite values; a NaN or inf fails naming the
-file.  ``--peak`` must be finite and positive; the solver commands check
-it before reading any input.  ``--tau`` and ``--beta`` need ``--tv``.
+file.  ``--peak`` must be finite and positive, ``--tau``, ``--beta`` and
+``--inner-steps`` need ``--tv``, and ``--slope`` excludes ``--linear``;
+the solver commands check these before reading any input.
 ``degrade`` needs ``--mask`` for every kind but ``bs``, which rejects
 it.  ``convert`` takes one of ``--from-csv`` (with ``--dims``) and
 ``--to-csv`` (with none of ``--dims``, ``--no-normalize``, ``--manifest``)
@@ -166,12 +167,12 @@ def _add_solver_flags(sub):
 
 # SolverConfig fields that a solver flag of the same dest overrides when given.
 _CONFIG_FLAGS = ("lam", "tau", "beta", "t_max", "inner_steps", "lr", "width", "slope")
+# The solver flags that only the TV solver reads.
+_TV_FLAGS = ("--tau", "--beta", "--inner-steps")
 
 
 def _config_from_args(args, kind, dims):
     over = {name: getattr(args, name) for name in _CONFIG_FLAGS if getattr(args, name) is not None}
-    if not args.tv and {"tau", "beta"} & over.keys():
-        raise ValueError("--tau and --beta need --tv: only the TV solver reads them")
     over["seed"] = args.seed
     if args.layers is not None:
         over["p"], over["q"] = args.layers
@@ -235,15 +236,21 @@ def _report(x, ref, peak):
 
 
 def _run_solver(args):
-    """The four solver commands: check the output directories, observe,
-    check ``--ref``, solve, report the metrics, then write the estimate,
-    its sparse part, the transform, diagnostics and manifest.
+    """The four solver commands: check the flags and the output
+    directories, observe, check ``--ref``, solve, report the metrics,
+    then write the estimate, its sparse part, the transform, diagnostics
+    and manifest.
 
     The metrics reference is ``--ref``, or else the ground truth that
     ``--input`` was degraded from.
     """
     kind = args.kind
     check_peak(args.peak)
+    for flag in _TV_FLAGS:  # flags the chosen solver would ignore
+        if not args.tv and getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValueError(f"{flag} is read by the TV solver only: need --tv")
+    if args.linear and args.slope is not None:
+        raise ValueError("--slope sets the leaky-relu slope, which --linear drops")
     outputs = {"x": args.out, "sparse": args.sparse, "transform": args.save_transform}
     _check_out_dirs(*outputs.values(), args.diagnostics, args.manifest)
     model, ref = _observe(kind, args)

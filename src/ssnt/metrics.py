@@ -32,12 +32,17 @@ def check_peak(peak):
         raise ValueError(f"peak must be positive and finite, got {peak!r}")
 
 
+def _same_shape(x, ref):
+    """``x`` and ``ref`` as arrays, which must have one shape."""
+    x, ref = np.asarray(x), np.asarray(ref)
+    if x.shape != ref.shape:
+        raise ValueError(f"shape mismatch: estimate {x.shape} vs reference {ref.shape}")
+    return x, ref
+
+
 def psnr(x, ref, peak=1.0):
     """Peak signal-to-noise ratio ``10*log10(peak^2 * N / ||x - ref||_F^2)``."""
-    x = np.asarray(x)
-    ref = np.asarray(ref)
-    if x.shape != ref.shape:
-        raise ValueError("shape mismatch")
+    x, ref = _same_shape(x, ref)
     check_peak(peak)
     err = sum_squares(x - ref)
     if err == 0.0:
@@ -98,10 +103,7 @@ def ssim(x, ref, peak=1.0):
     The window is separable, so a block of slices is filtered at once by
     one 1-D pass along each spatial axis.
     """
-    x = np.asarray(x)
-    ref = np.asarray(ref)
-    if x.shape != ref.shape:
-        raise ValueError("shape mismatch")
+    x, ref = _same_shape(x, ref)
     win = min(11, x.shape[0], x.shape[1])
     if win % 2 == 0:
         win -= 1
@@ -121,10 +123,7 @@ def sam(x, ref):
     tube with a non-finite entry on either side has no angle, so the
     mean is NaN.
     """
-    x = np.asarray(x)
-    ref = np.asarray(ref)
-    if x.shape != ref.shape:
-        raise ValueError("shape mismatch")
+    x, ref = _same_shape(x, ref)
     dot = (x * ref).sum(axis=2)
     nx = np.linalg.norm(x, axis=2)
     nr = np.linalg.norm(ref, axis=2)

@@ -28,13 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import single_thread
 from .network import (
     Activation,
     LossBreakdown,
     _ForwardPass,
     init_weights,
     loss_and_grad,
+    single_thread,
 )
 from .problems import assemble, init_observation
 from .tensors import diff_p, soft_threshold, sum_squares
@@ -76,19 +76,17 @@ class SolverConfig:
     slope: float = 0.01
 
     def __post_init__(self):
-        if self.lam < 0 or self.tau < 0 or self.beta <= 0:
-            raise ValueError("lam, tau must be >= 0 and beta > 0")
-        if self.t_max < 0 or self.inner_steps < 1:
-            raise ValueError("t_max must be >= 0 and inner_steps >= 1")
         for name in ("lam", "tau", "beta", "lr"):
             if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr!r}")
-        for name in ("p", "q", "width"):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name, low in (("lam", 0), ("tau", 0), ("t_max", 0), ("inner_steps", 1),
+                          ("p", 1), ("q", 1), ("width", 1)):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value!r}")
+            if value is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+        for name in ("beta", "lr"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         Activation(self.activation, self.slope)  # rejects an unknown kind or a bad slope
 
 
@@ -104,8 +102,11 @@ def default_config(kind, dims):
     Note the background-subtraction weight is large by design on
     [0, 1]-normalized data; it is exposed as-is rather than rescaled.
     """
+    weights = {"tc": 1e-7, "rtc": 1e-7, "bs": 1e-3, "sci": 1e-5}
+    if kind not in weights:
+        raise ValueError(f"unknown problem kind {kind!r}")
     n = int(np.prod(dims))
-    lam = {"tc": 1e-7, "rtc": 1e-7, "bs": 1e-3, "sci": 1e-5}[kind] * n
+    lam = weights[kind] * n
     return SolverConfig(lam=lam, tau=0.01 * n, t_max=7000, width=2 * int(dims[2]))
 
 

@@ -408,7 +408,7 @@ class TestExitCodes:
         other = tmp_path / "other.ssnt"
         run("synth", "--dims", "6,6,3", "--out", other)
         assert run("metrics", truth_file, other) == 5
-        capsys.readouterr()
+        assert "estimate (12, 12, 4) vs reference (6, 6, 3)" in capsys.readouterr().err
 
 
 class TestFailEarly:
@@ -452,8 +452,26 @@ class TestFailEarly:
         code = run("complete", "--input", truth_file, "--sr", "0.5", "--out", out,
                    "--tmax", "5", "--inner-steps", "5")
         assert code == 5
-        assert "inner_steps=5 needs the TV solver" in capsys.readouterr().err
+        assert "--inner-steps is read by the TV solver only" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["complete", "robust-complete", "subtract", "sci"])
+    @pytest.mark.parametrize("flags, named", [
+        (("--tau", "1"), "--tau"),
+        (("--beta", "2"), "--beta"),
+        (("--inner-steps", "2"), "--inner-steps"),
+        (("--linear", "--slope", "0.5"), "--slope"),
+    ], ids=["tau", "beta", "inner-steps", "slope-linear"])
+    def test_ignored_solver_flag_fails_before_reading(self, tmp_path, command, flags, named, capsys):
+        """A flag the chosen solver would ignore exits 5 naming it, before
+        the (missing) input is read, and writes nothing."""
+        out, manifest = tmp_path / "x.ssnt", tmp_path / "run.json"
+        io = ("--background", out) if command == "subtract" else ("--sr", "0.5", "--out", out)
+        code = run(command, "--input", tmp_path / "missing.ssnt", *io, "--manifest", manifest, *flags)
+        err = capsys.readouterr().err
+        assert code == 5 and "error code=5 kind=config" in err
+        assert named in err and "missing.ssnt" not in err
+        assert not out.exists() and not manifest.exists()
 
     def test_ref_is_checked_before_the_solve(self, tmp_path, truth_file, capsys):
         out = tmp_path / "rec.ssnt"

@@ -41,6 +41,11 @@ class TestPsnr:
         with pytest.raises(ValueError):
             psnr(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
 
+    @pytest.mark.parametrize("metric", [psnr, ssim, sam], ids=["psnr", "ssim", "sam"])
+    def test_shape_mismatch_names_both_shapes(self, metric):
+        with pytest.raises(ValueError, match=r"estimate \(3, 3, 2\) vs reference \(3, 4, 2\)"):
+            metric(np.zeros((3, 3, 2)), np.zeros((3, 4, 2)))
+
     @pytest.mark.parametrize("peak", [0.0, -1.0, np.nan, np.inf])
     def test_peak_must_be_finite_and_positive(self, peak):
         with pytest.raises(ValueError, match="peak must be positive"):

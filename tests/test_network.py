@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ssnt import _blas, network
+from ssnt import network
 from ssnt.network import (
     Activation,
     Layer,
@@ -655,9 +655,9 @@ class TestLowrankStep:
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        monkeypatch.setattr(_blas, "controls", lambda: ())
+        monkeypatch.setattr(network, "controls", lambda: ())
         assert network._worker_count() == expect
-        monkeypatch.setattr(_blas, "controls", lambda: ((lambda: 1, lambda n: None),))
+        monkeypatch.setattr(network, "controls", lambda: ((lambda: 1, lambda n: None),))
         assert network._worker_count() == 4
 
 
@@ -750,7 +750,7 @@ class TestSplitLayers:
         assert network._blocks(n, step, work) == [(0, n)]
 
 
-needs_setter = pytest.mark.skipif(not _blas.controls(), reason="no OpenBLAS thread setter found")
+needs_setter = pytest.mark.skipif(not network.controls(), reason="no OpenBLAS thread setter found")
 
 
 class TestBlasScope:
@@ -759,17 +759,17 @@ class TestBlasScope:
 
     @staticmethod
     def counts(controls=None):
-        return [get() for get, _ in (controls or _blas.controls())]
+        return [get() for get, _ in (controls or network.controls())]
 
     @pytest.fixture
     def caller_at_two(self):
         """Every loaded OpenBLAS at 2 threads for the test; the count it
         had is restored afterwards."""
         before = self.counts()
-        for _, put in _blas.controls():
+        for _, put in network.controls():
             put(2)
         yield [2] * len(before)
-        for (_, put), count in zip(_blas.controls(), before):
+        for (_, put), count in zip(network.controls(), before):
             put(count)
 
     @needs_setter
@@ -801,8 +801,8 @@ class TestBlasScope:
     @needs_setter
     def test_nested_scopes_restore_only_at_the_outermost_exit(self, caller_at_two):
         one = [1] * len(caller_at_two)
-        with _blas.single_thread():
-            with _blas.single_thread():
+        with network.single_thread():
+            with network.single_thread():
                 assert self.counts() == one
             assert self.counts() == one
         assert self.counts() == caller_at_two
@@ -815,13 +815,13 @@ class TestBlasScope:
         entered, release, seen = threading.Event(), threading.Event(), []
 
         def other():
-            with _blas.single_thread():
+            with network.single_thread():
                 entered.set()
                 release.wait(10)
                 seen.append(self.counts())
 
         t = threading.Thread(target=other)
-        with _blas.single_thread():
+        with network.single_thread():
             t.start()
             assert entered.wait(10)
         assert self.counts() == one  # the other thread is still inside
@@ -832,9 +832,9 @@ class TestBlasScope:
 
     @needs_setter
     def test_without_a_setter_the_scope_changes_nothing(self, monkeypatch, caller_at_two):
-        real = _blas.controls()
-        monkeypatch.setattr(_blas, "controls", lambda: ())
-        with _blas.single_thread():
+        real = network.controls()
+        monkeypatch.setattr(network, "controls", lambda: ())
+        with network.single_thread():
             assert self.counts(real) == caller_at_two
         obs, params, _, _ = tc_setup((6, 5, 4), 8, seed=35)
         forward_f(obs, params)

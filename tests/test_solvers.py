@@ -1,6 +1,7 @@
 """Optimization drivers: Adam, the plain solver, the ADMM/TV solver and
 their closed-form updates and diagnostics."""
 
+import re
 import threading
 import time
 import warnings
@@ -63,10 +64,17 @@ class TestDefaultConfig:
         ("p", 0), ("q", 0), ("width", 0), ("width", -3),
         ("slope", 1.5), ("slope", 0.0), ("activation", "tanh"),
         ("lr", 0.0), ("lr", -1e-3),
+        ("lam", -1.0), ("lam", float("nan")), ("tau", -1.0), ("beta", 0.0), ("beta", float("inf")),
+        ("t_max", -1), ("inner_steps", 0),
     ])
     def test_bad_value_is_rejected_naming_the_field(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        """The message names the one bad field first and ends with its value."""
+        with pytest.raises(ValueError, match=rf"^{field} .*, got {re.escape(repr(value))}$"):
             SolverConfig(**{field: value})
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown problem kind 'foo'$"):
+            default_config("foo", (4, 4, 3))
 
     def test_replace_validates(self):
         with pytest.raises(ValueError, match="slope"):
