@@ -19,7 +19,8 @@ solve.  ``metrics`` takes at most one of ``--peak`` and
 file read must hold only finite values; a NaN or inf fails naming the
 file.  ``--peak`` must be finite and positive, ``--tau``, ``--beta`` and
 ``--inner-steps`` need ``--tv``, and ``--slope`` excludes ``--linear``;
-the solver commands check these before reading any input.
+the solver commands check these, and the value of every solver flag,
+before reading any input.
 ``degrade`` needs ``--mask`` for every kind but ``bs``, which rejects
 it.  ``convert`` takes one of ``--from-csv`` (with ``--dims``) and
 ``--to-csv`` (with none of ``--dims``, ``--no-normalize``, ``--manifest``)
@@ -251,6 +252,7 @@ def _run_solver(args):
             raise ValueError(f"{flag} is read by the TV solver only: need --tv")
     if args.linear and args.slope is not None:
         raise ValueError("--slope sets the leaky-relu slope, which --linear drops")
+    _config_from_args(args, kind, (1, 1, 1))  # the flag values, whatever the dims
     outputs = {"x": args.out, "sparse": args.sparse, "transform": args.save_transform}
     _check_out_dirs(*outputs.values(), args.diagnostics, args.manifest)
     model, ref = _observe(kind, args)

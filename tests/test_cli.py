@@ -473,6 +473,25 @@ class TestFailEarly:
         assert named in err and "missing.ssnt" not in err
         assert not out.exists() and not manifest.exists()
 
+    @pytest.mark.parametrize("command", ["complete", "robust-complete", "subtract", "sci"])
+    @pytest.mark.parametrize("flags, field", [
+        (("--tmax", "-1"), "t_max"),
+        (("--lr", "0"), "lr"),
+        (("--width", "0"), "width"),
+        (("--lambda", "-1"), "lam"),
+        (("--slope", "2"), "slope"),
+    ], ids=["tmax", "lr", "width", "lambda", "slope"])
+    def test_bad_solver_value_fails_before_reading(self, tmp_path, command, flags, field, capsys):
+        """A solver flag value the config rejects exits 5 naming the
+        field, before the (missing) input is read, and writes nothing."""
+        out, manifest = tmp_path / "x.ssnt", tmp_path / "run.json"
+        io = ("--background", out) if command == "subtract" else ("--sr", "0.5", "--out", out)
+        code = run(command, "--input", tmp_path / "missing.ssnt", *io, "--manifest", manifest, *flags)
+        err = capsys.readouterr().err
+        assert code == 5 and "error code=5 kind=config" in err
+        assert f"detail='{field} must" in err and "missing.ssnt" not in err
+        assert not out.exists() and not manifest.exists()
+
     def test_ref_is_checked_before_the_solve(self, tmp_path, truth_file, capsys):
         out = tmp_path / "rec.ssnt"
         base = ("complete", "--input", truth_file, "--sr", "0.5", "--out", out, "--tmax", "1")

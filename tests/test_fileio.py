@@ -1,6 +1,8 @@
 """Tensor container round trips, corruption detection, manifests and
 diagnostics CSV."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,8 +26,10 @@ from ssnt.solvers import Diagnostics
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
-# The chunk length of the vectorised checksum, in bytes.
+# The vectorised checksum solves the state's low bytes over blocks of
+# BLOCK bytes and folds them into the state by one dot product per CHUNK.
 CHUNK = 1 << 16
+BLOCK = 1 << 18
 
 
 def fnv1a64_loop(data):
@@ -43,7 +47,8 @@ class TestFnv1a:
         assert fnv1a64(b"foobar") == 0x85944171F73967E8
 
     @pytest.mark.parametrize(
-        "n", [0, 1, 63, 64, 65, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 63, 3 * CHUNK + 77]
+        "n", [0, 1, 63, 64, 65, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 63, 3 * CHUNK + 77,
+              BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 63]
     )
     def test_equals_the_byte_loop_at_chunk_edges(self, n):
         data = np.random.default_rng(n).integers(0, 256, n, dtype=np.uint8).tobytes()
@@ -51,7 +56,7 @@ class TestFnv1a:
 
     @pytest.mark.parametrize("byte", [0x00, 0xFF])
     def test_constant_runs_across_chunks(self, byte):
-        data = bytes([byte]) * (CHUNK + 5)
+        data = bytes([byte]) * (BLOCK + 5)  # across four chunk edges and a block edge
         assert fnv1a64(data) == fnv1a64_loop(data)
 
     def test_takes_any_contiguous_buffer(self):
@@ -66,6 +71,26 @@ class TestFnv1a:
         chunk boundary."""
         data = bytes(pad) + data
         assert fnv1a64(data) == fnv1a64_loop(data)
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.binary(min_size=1, max_size=4096), st.integers(0, 4095))
+    def test_equals_the_byte_loop_across_a_block_edge(self, data, before):
+        """Random bytes behind zeros that put ``before`` of them in the
+        first block and the rest in the second."""
+        data = bytes(BLOCK - min(before, len(data))) + data
+        assert fnv1a64(data) == fnv1a64_loop(data)
+
+    def test_small_input_allocates_little(self):
+        """Scratch buffers are sized to the data, not to a block."""
+        data = np.random.default_rng(5).integers(0, 256, 1024, dtype=np.uint8).tobytes()
+        fnv1a64(data)  # builds the cached table of powers
+        tracemalloc.start()
+        try:
+            fnv1a64(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestTensorFile:
@@ -115,6 +140,17 @@ class TestTensorFile:
         write_tensor(path, t)
         blob = bytearray(path.read_bytes())
         blob[31 + 2 * CHUNK + 1000] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as err:
+            read_tensor(path)
+        assert err.value.reason == "checksum"
+
+    def test_flipped_byte_in_the_second_block_is_checksum_error(self, tmp_path):
+        t = np.random.default_rng(6).standard_normal((40, 30, 40))  # a block and a part
+        path = tmp_path / "t.ssnt"
+        write_tensor(path, t)
+        blob = bytearray(path.read_bytes())
+        blob[31 + BLOCK + 1000] ^= 0x01
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError) as err:
             read_tensor(path)
