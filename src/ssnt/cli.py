@@ -29,7 +29,8 @@ and rejects a CSV holding NaN or inf.  A malformed ``--dims`` or
 usage errors.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 malformed tensor
-file, 5 inconsistent shapes or configuration.  Failures print one
+file, 5 inconsistent shapes or configuration (a network too large to
+allocate among them).  Failures print one
 machine-readable line ``error code=<n> kind=<kind> detail=<...>`` on
 stderr.  Every command checks its outputs' directories before it
 reads any input, and inputs, flags and the metrics before the first
@@ -485,7 +486,7 @@ def main(argv=None):
         return _fail(EXIT_FORMAT, "format", exc)
     except OSError as exc:
         return _fail(EXIT_IO, "io", exc)
-    except (ValueError, KeyError, FloatingPointError) as exc:
+    except (ValueError, KeyError, FloatingPointError, MemoryError) as exc:
         return _fail(EXIT_CONFIG, "config", exc)
 
 

@@ -51,9 +51,8 @@ This module holds the library's whole thread policy; it has no option:
   cores.  The blocks do not depend on the thread count, so neither do
   the bytes.
 * When :func:`controls` finds no OpenBLAS thread setter, the scope does
-  nothing: BLAS keeps the count it read from ``OPENBLAS_NUM_THREADS``
-  or ``OMP_NUM_THREADS`` (all usable cpus when neither is set), and the
-  pool has ``max(1, cpus // blas)`` threads.
+  nothing, BLAS keeps its own count and the pool has one thread: every
+  job runs on the calling thread.
 
 A training step's forward pass runs ``f``, starts the SVD job and runs
 ``g``; :func:`loss_and_grad` runs the fidelity and TV terms and ``g``'s
@@ -68,7 +67,6 @@ import ctypes
 import functools
 import math
 import os
-import re
 import threading
 from dataclasses import dataclass, field
 
@@ -246,17 +244,9 @@ def single_thread():
 
 def _worker_count():
     """Threads of the worker pool; see the module docstring."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if controls():
-        return cpus
-    blas = cpus
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        # BLAS takes the leading integer and skips unset or non-positive values.
-        m = re.match(r"\s*\+?(\d+)", os.environ.get(name, ""))
-        if m and int(m.group(1)) > 0:
-            blas = int(m.group(1))
-            break
-    return max(1, cpus // blas)
+    if not controls():
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 _WORKERS = None  # _worker_count(), taken on first use
@@ -302,8 +292,6 @@ def _blocks(n, step, work):
     starts = list(range(0, n, step))
     if (n - starts[-1]) * work < _BLOCK_WORK:
         starts.pop()
-    if len(starts) < 2:
-        return [(0, n)]
     return list(zip(starts, starts[1:] + [n]))
 
 
@@ -455,8 +443,6 @@ def _lowrank_chunks(stack):
     k, r, c = stack.shape
     sub = np.empty(stack.shape, dtype=np.result_type(stack.dtype, np.float64))
     norms = np.zeros(k)
-    if stack.size == 0:
-        return lambda: (sub, norms)
     # An r x c matrix's thin SVD and u @ vh count as 16 r c min(r, c)
     # multiply-adds, a little above LAPACK's count (and slower per add).
     join = _start((functools.partial(_subgrad_chunk, stack, sub, norms),

@@ -192,6 +192,12 @@ def multiplier_update(admm, x, cfg):
 def _solve(model, cfg, x0, admm):
     """The training loop of both solvers; ``admm`` is ``None`` for the
     plain solver and is otherwise updated in place."""
+    fields = [("x0", x0)]
+    if admm is not None:
+        fields += [(f"admm0.{name}", getattr(admm, name)) for name in ("v1", "v2", "l1", "l2")]
+    for name, value in fields:
+        if np.shape(value) != model.dims:
+            raise ValueError(f"{name} has shape {np.shape(value)}, the model {model.dims}")
     # The slice-major view of x0, made once: every forward pass takes it
     # without a copy.
     xs = np.moveaxis(np.ascontiguousarray(np.moveaxis(x0, 2, 0)), 0, 2)
@@ -230,7 +236,9 @@ def _solve(model, cfg, x0, admm):
 def solve_ssnt(model, cfg, x0=None):
     """Train the transform pair with plain Adam (no TV term).
 
-    ``x0`` overrides the problem initializer feeding the network.
+    ``x0`` overrides the problem initializer feeding the network; one
+    whose shape is not ``model.dims`` raises ``ValueError`` before any
+    work.
     Returns the assembled estimate, the trained parameters and the
     per-iteration diagnostics.  Warns (does not fail) when the final
     loss exceeds the initial one.  ``cfg.inner_steps`` must be 1: inner
@@ -251,7 +259,8 @@ def solve_ssnt_tv(model, cfg, x0=None, admm0=None):
     Initialization: splitting variables start at the spatial differences
     of the initialized observation, multipliers at zero (``admm0``
     overrides this and is updated in place, so it ends holding the
-    final state).  Each outer iteration runs ``inner_steps`` Adam steps
+    final state; each of its arrays must have shape ``model.dims``, as
+    ``x0`` must).  Each outer iteration runs ``inner_steps`` Adam steps
     on the augmented objective, then the splitting update, then the
     multiplier update.  Diagnostics record the summed relative changes
     of the weights and of the splitting variables per outer iteration.

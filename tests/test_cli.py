@@ -410,6 +410,19 @@ class TestExitCodes:
         assert run("metrics", truth_file, other) == 5
         assert "estimate (12, 12, 4) vs reference (6, 6, 3)" in capsys.readouterr().err
 
+    def test_unallocatable_network_is_config(self, tmp_path, capsys):
+        """The first weight matrix of this width takes 364 TiB, beyond the
+        address space, so the request fails before anything is allocated."""
+        truth, out = tmp_path / "t.ssnt", tmp_path / "x.ssnt"
+        run("synth", "--dims", "8,7,5", "--out", truth)
+        capsys.readouterr()
+        code = run("complete", "--input", truth, "--sr", "0.5", "--tmax", "2",
+                   "--width", "10000000000000", "--out", out)
+        assert code == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error code=5 kind=config detail=")
+        assert not out.exists()
+
 
 class TestFailEarly:
     @pytest.mark.parametrize("kind", ["tc", "rtc", "sci"])

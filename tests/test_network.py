@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+from collections.abc import Mapping
 from dataclasses import replace
 
 import numpy as np
@@ -192,6 +193,12 @@ class TestNuclearSubgrad:
     def test_zero(self):
         sub, norm = nuclear_subgrad(np.zeros((3, 4)))
         assert np.array_equal(sub, np.zeros((3, 4))) and norm == 0.0
+
+    @pytest.mark.parametrize("shape", [(0, 3, 4), (2, 0, 3, 4)])
+    def test_empty_stack(self, shape):
+        sub, norms = nuclear_subgrad(np.zeros(shape))
+        assert sub.shape == shape and norms.shape == shape[:-2]
+        assert sub.size == norms.size == 0
 
     def test_directional_derivative(self):
         """Central differences of the nuclear norm along random
@@ -637,7 +644,7 @@ class TestLowrankStep:
             loss_and_grad(obs, params, model, cfg)
         assert len(log["started"]) == 10 and sorted(log["finished"]) == list(range(1, 10))
 
-    @pytest.mark.parametrize("env, expect", [
+    @pytest.mark.parametrize("env, cpus", [
         ({}, 1),
         ({"OPENBLAS_NUM_THREADS": "1"}, 4),
         ({"OMP_NUM_THREADS": "2"}, 2),
@@ -646,19 +653,38 @@ class TestLowrankStep:
         ({"OPENBLAS_NUM_THREADS": "16"}, 1),
         ({"OMP_NUM_THREADS": "x"}, 1),
     ])
-    def test_worker_rule(self, monkeypatch, env, expect):
-        """With no BLAS thread setter found: max(1, cpus // blas_threads),
-        with the BLAS thread count read from the environment as BLAS
-        reads it.  With one found: every cpu, whatever the environment."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    def test_worker_rule(self, monkeypatch, env, cpus):
+        """With no BLAS thread setter found, one thread; with one found,
+        one per usable cpu.  The environment changes neither."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         monkeypatch.setattr(network, "controls", lambda: ())
-        assert network._worker_count() == expect
+        assert network._worker_count() == 1
         monkeypatch.setattr(network, "controls", lambda: ((lambda: 1, lambda n: None),))
-        assert network._worker_count() == 4
+        assert network._worker_count() == cpus
+
+    def test_worker_rule_reads_no_environment(self, monkeypatch):
+        class Unreadable(Mapping):
+            def __getitem__(self, key):
+                raise AssertionError(f"read the environment at {key!r}")
+
+            def __iter__(self):
+                raise AssertionError("listed the environment")
+
+            def __len__(self):
+                raise AssertionError("sized the environment")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        counts = []
+        with monkeypatch.context() as m:  # undone before pytest writes the environment again
+            m.setattr(os, "environ", Unreadable())
+            for found in ((), ((lambda: 1, lambda n: None),)):
+                m.setattr(network, "controls", lambda: found)
+                counts.append(network._worker_count())
+        assert counts == [1, 4]
 
 
 class TestSplitLayers:
@@ -738,6 +764,7 @@ class TestSplitLayers:
         (62, 32, 31 * 900, [(0, 62)]),
         (48, 8, 16 * 30 * 30 * 30, [(i, i + 8) for i in range(0, 48, 8)]),  # SVDs of (48, 30, 30)
         (16, 8, 16 * 6 * 6 * 6, [(0, 16)]),  # SVDs of (16, 6, 6), criterion 1's largest stack
+        (3000, 2048, 1024, [(0, 3000)]),  # the short tail is popped, leaving one start
     ])
     def test_block_bounds(self, monkeypatch, n, step, work, expect):
         """Blocks start at multiples of the step; each does at least

@@ -188,6 +188,36 @@ class TestSolveSsnt:
             solve_ssnt(model, cfg)
 
 
+class TestStartShapes:
+    """A solve checks ``x0`` and every array of ``admm0`` against the
+    model's shape before it builds the network or runs ``f``."""
+
+    @staticmethod
+    def instance(monkeypatch):
+        _, model = tc_instance((8, 7, 5), sr=0.6, seed=40)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the solve started work")
+
+        monkeypatch.setattr(network, "forward_f", forbidden)
+        monkeypatch.setattr(solvers, "init_weights", forbidden)
+        return model, SolverConfig(lam=1e-3, t_max=2, width=8, seed=41)
+
+    @pytest.mark.parametrize("solve", [solve_ssnt, solve_ssnt_tv])
+    def test_bad_x0(self, monkeypatch, solve):
+        model, cfg = self.instance(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape("x0 has shape (8, 7, 4), the model (8, 7, 5)")):
+            solve(model, cfg, x0=np.zeros((8, 7, 4)))
+
+    @pytest.mark.parametrize("field", ["v1", "v2", "l1", "l2"])
+    def test_bad_admm0(self, monkeypatch, field):
+        model, cfg = self.instance(monkeypatch)
+        arrays = {name: np.zeros((8, 7, 5)) for name in ("v1", "v2", "l1", "l2")}
+        arrays[field] = np.zeros((8, 7, 4))
+        with pytest.raises(ValueError, match=re.escape(f"admm0.{field} has shape (8, 7, 4), the model (8, 7, 5)")):
+            solve_ssnt_tv(model, cfg, admm0=AdmmState(**arrays))
+
+
 class TestVUpdate:
     def setup_state(self, seed=0, dims=(5, 5, 3)):
         rng = np.random.default_rng(seed)
