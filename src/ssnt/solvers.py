@@ -192,12 +192,14 @@ def multiplier_update(admm, x, cfg):
 def _solve(model, cfg, x0, admm):
     """The training loop of both solvers; ``admm`` is ``None`` for the
     plain solver and is otherwise updated in place."""
-    fields = [("x0", x0)]
+    # Shapes only: a reference to admm0's first arrays would keep them
+    # alive through the solve.
+    shapes = {"x0": np.shape(x0)}
     if admm is not None:
-        fields += [(f"admm0.{name}", getattr(admm, name)) for name in ("v1", "v2", "l1", "l2")]
-    for name, value in fields:
-        if np.shape(value) != model.dims:
-            raise ValueError(f"{name} has shape {np.shape(value)}, the model {model.dims}")
+        shapes.update((f"admm0.{name}", np.shape(getattr(admm, name))) for name in ("v1", "v2", "l1", "l2"))
+    for name, shape in shapes.items():
+        if shape != model.dims:
+            raise ValueError(f"{name} has shape {shape}, the model {model.dims}")
     # The slice-major view of x0, made once: every forward pass takes it
     # without a copy.
     xs = np.moveaxis(np.ascontiguousarray(np.moveaxis(x0, 2, 0)), 0, 2)

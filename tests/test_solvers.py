@@ -5,6 +5,7 @@ import re
 import threading
 import time
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -405,6 +406,25 @@ class TestSolveSsntTv:
         assert len(updates) == 3
         for got, last in zip((admm0.v1, admm0.v2, admm0.l1, admm0.l2), updates[-1]):
             assert got is last
+
+    def test_first_admm0_arrays_are_freed_during_the_solve(self, monkeypatch):
+        """Once the loop has replaced them, the solve keeps no reference to
+        the arrays ``admm0`` came with."""
+        truth = synth_low_tubal_rank((6, 6, 4), 2, seed=14)
+        model = degrade(truth, "rtc", SamplingSpec(sr=0.6, noise_sr=0.1, seed=15))
+        cfg = SolverConfig(lam=1e-3, tau=0.05, beta=1.0, t_max=2, width=8, seed=16)
+        x0 = init_observation(model)
+        admm0 = AdmmState(diff_p(x0, 1), diff_p(x0, 2), np.zeros(x0.shape), np.zeros(x0.shape))
+        first = [weakref.ref(a) for a in (admm0.v1, admm0.v2, admm0.l1, admm0.l2)]
+        alive = []
+
+        def recording(admm, x, cfg):
+            alive.append([ref() is not None for ref in first])
+            return multiplier_update(admm, x, cfg)
+
+        monkeypatch.setattr(solvers, "multiplier_update", recording)
+        solve_ssnt_tv(model, cfg, x0=x0, admm0=admm0)
+        assert alive == [[False, False, True, True], [False] * 4]
 
     def test_inner_steps_run(self):
         truth = synth_low_tubal_rank((5, 5, 3), 2, seed=11)
