@@ -64,7 +64,6 @@ from .problems import (
     synth_low_tubal_rank,
 )
 from .solvers import default_config, solve_ssnt, solve_ssnt_tv
-from .tensors import dft_mode3
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -327,7 +326,7 @@ def _cmd_metrics(args):
 def _cmd_accegy(args):
     _check_out_dirs(args.out)
     t = _read_finite(args.x)
-    curve = acc_egy(dft_mode3(t) if args.dft else t)
+    curve = acc_egy(t, dft=args.dft)
     rows = zip(curve.fractions.tolist(), curve.energy_ratio.tolist())
     write_csv(args.out, ("fraction", "energy_ratio"), rows)
     return EXIT_OK

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import from_half_spectrum, half_spectrum_svd, sum_squares
+from .network import single_thread
+from .tensors import _conjugate_weights, from_half_spectrum, half_spectrum_svd, sum_squares
 
 
 @dataclass
@@ -33,10 +34,13 @@ def check_peak(peak):
 
 
 def _same_shape(x, ref):
-    """``x`` and ``ref`` as arrays, which must have one shape."""
+    """``x`` and ``ref`` as arrays, which must have one shape with no
+    zero dimension."""
     x, ref = np.asarray(x), np.asarray(ref)
     if x.shape != ref.shape:
         raise ValueError(f"shape mismatch: estimate {x.shape} vs reference {ref.shape}")
+    if 0 in x.shape:
+        raise ValueError(f"metrics need a non-empty tensor, got shape {x.shape}")
     return x, ref
 
 
@@ -50,10 +54,12 @@ def psnr(x, ref, peak=1.0):
     return float(10.0 * np.log10(peak**2 * x.size / err))
 
 
-# Frontal slices per SSIM block: about 2^16 entries (512 KB of float64)
-# per filtered array, so the filter's temporaries stay small next to the
-# tensors themselves.
-_SSIM_BLOCK_ENTRIES = 1 << 16
+# Entries per SSIM block over its five filtered quantities: 2 MB of
+# float64, so that a 128x128 block holds three frontal slices and the
+# block's temporaries stay near 8 MB.
+_SSIM_BLOCK_ENTRIES = 1 << 18
+# Output rows per product of the filter's tap band.
+_SSIM_TILE = 16
 
 
 def _gaussian_taps(size):
@@ -62,57 +68,75 @@ def _gaussian_taps(size):
     return g / g.sum()
 
 
-def _gaussian_pass(t, taps, axis):
-    """Valid-region 1-D filter of ``t`` along ``axis`` (0 or 1): a sum of
-    shifted copies, one per tap."""
-    n = t.shape[axis] - taps.size + 1
-
-    def shifted(i):
-        return t[i : i + n] if axis == 0 else t[:, i : i + n]
-
-    acc = taps[0] * shifted(0)
-    for i in range(1, taps.size):
-        acc += taps[i] * shifted(i)
-    return acc
-
-
-def _ssim_map(a, b, taps, peak):
-    """Per-pixel SSIM of a block of frontal slices over the valid interior."""
-
-    def filt(img):
-        return _gaussian_pass(_gaussian_pass(img, taps, 0), taps, 1)
-
-    mu_a = filt(a)
-    mu_b = filt(b)
-    var_a = filt(a * a) - mu_a**2
-    var_b = filt(b * b) - mu_b**2
-    cov = filt(a * b) - mu_a * mu_b
-    c1 = (0.01 * peak) ** 2
-    c2 = (0.03 * peak) ** 2
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
-    return num / den
+def _valid_filter(q, band, axis):
+    """Valid-region 1-D filter of a ``(5, n1, slices, n2)`` stack along
+    ``axis`` 1 or 3, by products with ``band``, whose row ``i`` holds the
+    taps in columns ``i..i+w-1``: one batched product per tile of
+    ``band.shape[0]`` output rows, of one shape for every quantity."""
+    w = band.shape[1] - band.shape[0] + 1
+    m = q.shape[axis] - w + 1
+    out = np.empty(q.shape[:axis] + (m,) + q.shape[axis + 1 :])
+    for i in range(0, m, band.shape[0]):
+        r = min(band.shape[0], m - i)
+        tile = band[:r, : r + w - 1]
+        if axis == 1:
+            np.matmul(tile, q[:, i : i + r + w - 1].reshape(len(q), r + w - 1, -1),
+                      out=out[:, i : i + r].reshape(len(q), r, -1))
+        else:
+            np.matmul(q[..., i : i + r + w - 1].reshape(len(q), -1, r + w - 1), tile.T,
+                      out=out[..., i : i + r].reshape(len(q), -1, r))
+    return out
 
 
+@single_thread()
 def ssim(x, ref, peak=1.0):
     """Mean over frontal slices of windowed 2-D structural similarity.
 
     Each slice is filtered with an 11x11 Gaussian window (sigma 1.5),
     shrunk to the largest odd size that fits small slices, with the
     usual K1 = 0.01, K2 = 0.03; statistics over the valid interior only.
-    The window is separable, so a block of slices is filtered at once by
-    one 1-D pass along each spatial axis.
+    The window is separable: a block of slices holds ``a, b, a*a, b*b,
+    a*b`` in one ``(5, n1, slices, n2)`` array, filtered along ``n1``
+    and then ``n2`` by products with a band of the 1-D taps, a tile of
+    output rows at a time.  A block holds as many slices as fit in 2^18
+    entries, and at least one, so at 128x128x31 the temporaries stay
+    near 8 MB.  The products run with BLAS on one thread, so the value
+    does not depend on the caller's count.
     """
     x, ref = _same_shape(x, ref)
-    win = min(11, x.shape[0], x.shape[1])
+    n1, n2, n3 = x.shape
+    win = min(11, n1, n2)
     if win % 2 == 0:
         win -= 1
     taps = _gaussian_taps(win)
-    step = max(1, _SSIM_BLOCK_ENTRIES // (x.shape[0] * x.shape[1]))
-    means = [
-        _ssim_map(x[:, :, k : k + step], ref[:, :, k : k + step], taps, peak).mean(axis=(0, 1))
-        for k in range(0, x.shape[2], step)
-    ]
+    band = np.zeros((_SSIM_TILE, _SSIM_TILE + win - 1))
+    for i in range(_SSIM_TILE):
+        band[i, i : i + win] = taps
+    c1 = (0.01 * peak) ** 2
+    c2 = (0.03 * peak) ** 2
+    step = max(1, _SSIM_BLOCK_ENTRIES // (5 * n1 * n2))
+    means = []
+    for k in range(0, n3, step):
+        q = np.empty((5, n1, min(step, n3 - k), n2))
+        q[0] = x[:, :, k : k + step].transpose(0, 2, 1)
+        q[1] = ref[:, :, k : k + step].transpose(0, 2, 1)
+        np.multiply(q[:2], q[:2], out=q[2:4])
+        np.multiply(q[0], q[1], out=q[4])
+        mu_a, mu_b, var_a, var_b, cov = _valid_filter(_valid_filter(q, band, 1), band, 3)
+        del q
+        # Identical inputs give exactly 1: 2 * mu_ab is then mu_a**2 + mu_b**2
+        # and 2 * cov is var_a + var_b.  mu_a and mu_b become their squares.
+        mu_ab = mu_a * mu_b
+        cov -= mu_ab
+        var_a -= np.square(mu_a, out=mu_a)
+        var_b -= np.square(mu_b, out=mu_b)
+        num = (2.0 * mu_ab + c1) * (2.0 * cov + c2)
+        den = (mu_a + mu_b + c1) * (var_a + var_b + c2)
+        # The map in (rows, columns, slices) order: the per-slice means sum
+        # it pixel by pixel, as earlier releases did.
+        out = np.empty((n1 - win + 1, n2 - win + 1, len(num[0])))
+        np.divide(num, den, out=out.transpose(0, 2, 1))
+        means.append(out.mean(axis=(0, 1)))
     return float(np.mean(np.concatenate(means)))
 
 
@@ -152,13 +176,20 @@ class AccEgyCurve:
         return float(self.energy_ratio[k - 1])
 
 
-def acc_egy(transformed):
+def acc_egy(transformed, dft=False):
     """Energy-compaction curve of a (real or complex) tensor's slices.
 
+    With ``dft``, the curve of the mode-3 DFT slices of a real tensor:
+    only slices ``0..n3//2`` are decomposed, and each one's singular
+    values count as often as the slice occurs in the full spectrum.
     An all-zero input yields a curve of ones, with a warning.
     """
     t = np.asarray(transformed)
-    sv = np.linalg.svd(np.moveaxis(t, 2, 0), compute_uv=False).ravel()
+    if dft:
+        counts = _conjugate_weights(t.shape[2]).astype(int)
+        sv = np.repeat(half_spectrum_svd(t, compute_uv=False), counts, axis=0).ravel()
+    else:
+        sv = np.linalg.svd(np.moveaxis(t, 2, 0), compute_uv=False).ravel()
     sv = np.sort(sv)[::-1]
     energy = sv**2
     total = energy.sum()

@@ -450,6 +450,12 @@ def _lowrank_chunks(stack):
     return lambda: join() or (sub, norms)  # the join returns None
 
 
+def _no_chunks():
+    """The join of a pass with lam = 0, which starts no SVD job: no
+    subgradient and no nuclear norms."""
+    return None, np.zeros(0)
+
+
 @single_thread()
 def nuclear_subgrad(m):
     """Subgradient ``U_r @ V_r.T`` of the nuclear norm at ``m``, or at
@@ -479,9 +485,8 @@ class _ForwardPass:
     def __init__(self, obs, params, lam):
         self._key = (obs, params, lam)
         y, self._tape_f = forward_f(obs, params)
-        stack = np.moveaxis(y, 2, 0)
-        # With lam = 0 the low-rank term is 0: start nothing, on an empty stack.
-        self._join = _lowrank_chunks(stack if lam > 0.0 else stack[:0])
+        # With lam = 0 the low-rank term is 0: start nothing.
+        self._join = _lowrank_chunks(np.moveaxis(y, 2, 0)) if lam > 0.0 else _no_chunks
         try:
             self.x, self._tape_g = forward_g(y, params)
         except BaseException:

@@ -1,11 +1,13 @@
 """Quality metrics, the energy-compaction curve and the convex
 completion baseline."""
 
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from ssnt import metrics, network
 from ssnt.metrics import (
     AccEgyCurve,
     _tsvt,
@@ -17,7 +19,7 @@ from ssnt.metrics import (
     tnn_baseline_complete,
 )
 from ssnt.problems import SamplingSpec, degrade, synth_low_tubal_rank
-from ssnt.tensors import tnn
+from ssnt.tensors import dft_mode3, tnn
 
 
 class TestPsnr:
@@ -46,6 +48,12 @@ class TestPsnr:
         with pytest.raises(ValueError, match=r"estimate \(3, 3, 2\) vs reference \(3, 4, 2\)"):
             metric(np.zeros((3, 3, 2)), np.zeros((3, 4, 2)))
 
+    @pytest.mark.parametrize("metric", [psnr, ssim, sam], ids=["psnr", "ssim", "sam"])
+    @pytest.mark.parametrize("shape", [(0, 4, 3), (4, 0, 3), (4, 4, 0)])
+    def test_empty_tensor_is_rejected(self, metric, shape):
+        with pytest.raises(ValueError, match=rf"non-empty tensor, got shape \({shape[0]}, {shape[1]}, {shape[2]}\)"):
+            metric(np.zeros(shape), np.zeros(shape))
+
     @pytest.mark.parametrize("peak", [0.0, -1.0, np.nan, np.inf])
     def test_peak_must_be_finite_and_positive(self, peak):
         with pytest.raises(ValueError, match="peak must be positive"):
@@ -55,7 +63,7 @@ class TestPsnr:
 class TestSsim:
     def test_self_similarity(self):
         rng = np.random.default_rng(3)
-        for shape in ((16, 16, 3), (20, 17, 5)):
+        for shape in ((16, 16, 3), (20, 17, 5), (128, 128, 31)):
             x = rng.uniform(0, 1, shape)
             assert ssim(x, x) == 1.0
 
@@ -70,10 +78,12 @@ class TestSsim:
         x = np.random.default_rng(5).uniform(0, 1, (7, 7, 2))
         assert ssim(x, x) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("shape", [(24, 20, 3), (9, 12, 2), (4, 6, 2)])
+    @pytest.mark.parametrize("shape", [(24, 20, 3), (9, 12, 2), (4, 6, 2), (128, 128, 31),
+                                       (45, 37, 13), (11, 11, 2), (12, 13, 1)])
     def test_equals_the_two_dimensional_window(self, shape):
         """The separable filter agrees with the 2-D Gaussian window, slice
-        by slice, to rounding."""
+        by slice, to rounding, also where tiles of output rows and
+        blocks of slices end short."""
         rng = np.random.default_rng(7)
         ref = rng.uniform(0, 1, shape)
         x = np.clip(ref + 0.1 * rng.standard_normal(shape), 0, 1)
@@ -95,6 +105,57 @@ class TestSsim:
 
         expected = np.mean([one_slice(x[:, :, k], ref[:, :, k]) for k in range(shape[2])])
         assert ssim(x, ref) == pytest.approx(expected, rel=1e-13, abs=1e-15)
+
+    @staticmethod
+    def pair(shape=(128, 128, 31), seed=8):
+        rng = np.random.default_rng(seed)
+        ref = rng.uniform(0, 1, shape)
+        return np.clip(ref + 0.1 * rng.standard_normal(shape), 0, 1), ref
+
+    def test_one_slice_per_block(self, monkeypatch):
+        x, ref = self.pair()
+        want = ssim(x, ref)
+        monkeypatch.setattr(metrics, "_SSIM_BLOCK_ENTRIES", 1)
+        assert ssim(x, ref) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_same_at_any_blas_thread_count(self, monkeypatch):
+        """ssim runs its products with BLAS on one thread and gives the
+        caller's count back."""
+        libs = network.controls()
+        if not libs:
+            pytest.skip("no OpenBLAS thread setter found")
+        seen = []
+        real = metrics._valid_filter
+
+        def valid_filter(*args):
+            seen.append([get() for get, _ in libs])
+            return real(*args)
+
+        monkeypatch.setattr(metrics, "_valid_filter", valid_filter)
+        x, ref = self.pair((45, 37, 13))
+        saved = [get() for get, _ in libs]
+        try:
+            values = []
+            for count in (1, 2):
+                for _, put in libs:
+                    put(count)
+                values.append(ssim(x, ref))
+                assert [get() for get, _ in libs] == [count] * len(libs)
+        finally:
+            for (_, put), count in zip(libs, saved):
+                put(count)
+        assert values[0] == values[1]
+        assert seen and all(counts == [1] * len(libs) for counts in seen)
+
+    def test_report_memory_at_paper_scale(self):
+        x, ref = self.pair()
+        tracemalloc.start()
+        try:
+            metric_report(x, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
 
 class TestSam:
@@ -187,6 +248,16 @@ class TestAccEgy:
         sv = np.concatenate([np.linalg.svd(t[:, :, k], compute_uv=False) for k in range(4)])
         energy = np.sort(sv)[::-1] ** 2
         assert np.array_equal(acc_egy(t).energy_ratio, np.cumsum(energy) / energy.sum())
+
+    @pytest.mark.parametrize("shape", [(7, 5, 1), (7, 5, 2), (6, 8, 5), (6, 8, 6)])
+    def test_dft_matches_the_full_spectrum(self, shape):
+        """The half spectrum, each slice counted with its conjugate, pools
+        the singular values of every DFT slice."""
+        t = np.random.default_rng(14).standard_normal(shape)
+        full = acc_egy(dft_mode3(t))
+        half = acc_egy(t, dft=True)
+        assert np.array_equal(half.fractions, full.fractions)
+        assert np.allclose(half.energy_ratio, full.energy_ratio, rtol=1e-14, atol=0.0)
 
     def test_all_zero_warns(self):
         with pytest.warns(RuntimeWarning):

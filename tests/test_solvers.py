@@ -616,7 +616,49 @@ class TestForwardPassAhead:
             warnings.simplefilter("ignore")
             solve(model, cfg)
         assert calls["forward_f"] == t_max * inner + 1
-        assert calls["stacks"] == [12] * (t_max * inner) + [0]
+        assert calls["stacks"] == [12] * (t_max * inner)
+
+    @staticmethod
+    def count_svds(monkeypatch, fail=False):
+        """Count the SVD calls the network makes; with ``fail`` each raises."""
+        calls = []
+        real = network.np.linalg.svd
+
+        def svd(*args, **kwargs):
+            calls.append(1)
+            if fail:
+                raise AssertionError("no SVD job should start")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(network.np.linalg, "svd", svd)
+        return calls
+
+    def test_lam0_starts_no_svd(self, monkeypatch):
+        """A lam = 0 pass joins without an SVD call, in a step and in a solve."""
+        _, model = rtc_instance()
+        cfg = SolverConfig(lam=0.0, tau=0.05, t_max=2, inner_steps=2, width=12, seed=23)
+        x0 = init_observation(model)
+        self.count_svds(monkeypatch, fail=True)
+        loss, _ = loss_and_grad(x0, init_weights(6, cfg), model, cfg)
+        assert loss.l1_lowrank == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, _, history = solve_ssnt_tv(model, cfg)
+        assert len(history) == 2
+
+    @pytest.mark.parametrize("solve, t_max, inner", [(solve_ssnt_tv, 3, 2), (solve_ssnt, 4, 1)],
+                             ids=["tv-3x2", "plain-4"])
+    def test_one_svd_call_per_adam_step(self, monkeypatch, solve, t_max, inner):
+        """On one worker the SVD job is one call, made once per Adam step
+        and not for the last pass."""
+        monkeypatch.setattr(network, "_WORKERS", 1)
+        calls = self.count_svds(monkeypatch)
+        _, model = rtc_instance()
+        cfg = SolverConfig(lam=0.05, tau=0.05, t_max=t_max, inner_steps=inner, width=12, seed=23)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solve(model, cfg)
+        assert len(calls) == t_max * inner
 
     @pytest.mark.parametrize("fault", ["v_update", "nonfinite-forward", "nonfinite-gradient"])
     def test_a_raise_waits_for_the_chunks(self, monkeypatch, tmp_path, capsys, fault):
